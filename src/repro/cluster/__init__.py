@@ -1,17 +1,19 @@
 """Multi-tenant job management over the simulated cluster.
 
-The single-job story (:func:`repro.mapreduce.runner.run_job`) gives one
-job every slot; this package is the production-shaped layer above it:
+Every job's map attempts run through one scheduler,
+:class:`~repro.mapreduce.scheduler.SlotScheduler`: locality-aware
+placement, retries with backoff, blacklisting, node-loss and map-output
+re-execution, and progress-based speculation
+(:class:`~repro.mapreduce.scheduler.SpeculationConfig`).  A single job
+(:func:`repro.mapreduce.runner.run_job`) is one request alone on that
+loop; this package is the multi-tenant layer above it:
 
 - :mod:`repro.cluster.config` — queues with guaranteed capacities,
   tenants with fair-share weights, admission bounds and slot quotas,
-- :mod:`repro.cluster.manager` — the event-driven resource manager
-  arbitrating one slot pool between concurrent jobs, with admission
-  control (including deadline-aware shedding), hierarchical fair share,
-  preemption, speculative execution, map-output loss re-execution and
-  a FIFO baseline,
-- :mod:`repro.cluster.speculate` — progress-based straggler-cloning
-  policy knobs,
+- :mod:`repro.cluster.manager` — the resource manager sharing one slot
+  pool between concurrent jobs, with admission control (including
+  deadline-aware shedding), hierarchical fair share, preemption and a
+  FIFO baseline,
 - :mod:`repro.cluster.wal` — the write-ahead journal and crash-resume
   replay (:func:`~repro.cluster.wal.resume_from_wal`),
 - :mod:`repro.cluster.traffic` — seeded open-loop Poisson traffic of
@@ -19,6 +21,8 @@ job every slot; this package is the production-shaped layer above it:
 - :mod:`repro.cluster.report` — per-tenant p50/p95/p99 job latency and
   slot-utilization reporting.
 """
+
+from repro.mapreduce.scheduler import SpeculationConfig
 
 from repro.cluster.config import (
     ClusterPolicy,
@@ -33,7 +37,6 @@ from repro.cluster.report import (
     TenantSummary,
     percentile,
 )
-from repro.cluster.speculate import SpeculationConfig
 from repro.cluster.traffic import (
     TrafficProfile,
     TrafficTenant,

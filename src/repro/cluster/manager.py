@@ -1,50 +1,31 @@
 """The multi-job resource manager: one slot pool, many jobs.
 
-Where :class:`~repro.mapreduce.runner.JobRunner` gives one job the
-whole cluster, :class:`ClusterManager` owns every map slot and
-arbitrates them between concurrently-running jobs on a shared simulated
-timeline.  It reuses the runner's execution primitives — map attempts
-run for real via ``JobRunner.execute_map_attempt`` and each finished
-job's shuffle/sort/reduce runs via ``JobRunner.run_reduce_phase`` — so
-a job computes byte-identical output whether it runs alone or under
-contention.
-
-The manager adds the multi-tenancy layer the single-job path never
-needed:
+:class:`ClusterManager` is the map scheduler
+(:class:`~repro.mapreduce.scheduler.SlotScheduler`, which places,
+retries and speculates every attempt) with a multi-tenancy layer on
+top.  Each finished job's shuffle/sort/reduce runs through
+``JobRunner.run_reduce_phase``, so a job computes byte-identical output
+whether it runs alone or under contention.  The layer adds:
 
 - **admission control** — each tenant has a bounded queue of admitted-
   but-not-started jobs; submissions beyond it are rejected immediately
-  (backpressure, surfaced as ``admission.reject`` events), and jobs
-  with a deadline the calibrated cost model predicts they will miss are
-  *shed* at the door (``admission.shed``) instead of wasting slots,
+  (``admission.reject``), and jobs with a deadline the calibrated cost
+  model predicts they will miss are *shed* at the door
+  (``admission.shed``) instead of wasting slots,
 - **hierarchical fair share** — slots go to the most-underserved queue
   (running/capacity), then the most-underserved tenant within it
-  (running/weight, respecting slot quotas), then the oldest job,
+  (running/weight, respecting slot quotas, which speculative clones
+  count against), then the oldest job,
 - **preemption** — a queue marked ``preempts`` that is under its
   guaranteed share evicts the longest-remaining attempt from a
-  ``preemptible`` queue; the evicted split re-queues through the retry
-  machinery *without* consuming a fault attempt.  Speculative
-  duplicates are the preferred victims — killing a clone costs nothing,
-- **speculative execution** — progress-based straggler cloning against
-  per-queue completion quantiles (:mod:`repro.cluster.speculate`);
-  first finisher wins, the loser is killed, duplicates never touch the
-  original's retry budget,
+  ``preemptible`` queue; the evicted split re-queues *without*
+  consuming a fault attempt.  Speculative duplicates are the preferred
+  victims — killing a clone costs nothing,
 - **a FIFO mode** — strict arrival order, quotas and queues ignored:
-  the Hadoop-default baseline the fair policy is measured against.
-
-Fault tolerance runs through the *entire* job timeline.  A completed
-map attempt's spilled output lives on the node that ran it; the job is
-vulnerable until its shuffle window closes (the time the largest reduce
-partition takes to cross the network — a lower bound on the reduce
-makespan, so fault-free finish times are unchanged).  A node death
-before then invalidates every committed output it held: the affected
-splits re-queue through the retry machinery (Hadoop semantics: output
-loss is the scheduler's problem, not the task's, so no retry budget is
-consumed) and an in-flight shuffle aborts and restarts when the re-run
-maps finish.  Failed attempts themselves relaunch after a seeded
-exponential backoff with jitter (``retry.backoff``), and every
-scheduling decision can be journaled to a :class:`~repro.cluster.wal.
-ClusterWAL` for crash recovery by verified deterministic replay.
+  the Hadoop-default baseline the fair policy is measured against,
+- **the write-ahead log** — every scheduling decision can be journaled
+  to a :class:`~repro.cluster.wal.ClusterWAL` for crash recovery by
+  verified deterministic replay.
 
 Everything flows through the ambient EventBus, so ``repro top`` and the
 trace exporters render multi-job runs with no extra plumbing.
@@ -52,124 +33,28 @@ trace exporters render multi-job runs with no extra plumbing.
 
 from __future__ import annotations
 
-import heapq
 import math
-from dataclasses import dataclass, field, replace
-from typing import Dict, List, Optional, Set, Tuple
+from collections import Counter
+from functools import partial
+from typing import Dict, List, Optional, Tuple
 
-from repro.hdfs.errors import FaultError
 from repro.hdfs.filesystem import FileSystem
-from repro.mapreduce.backoff import ExponentialBackoff
 from repro.mapreduce.counters import Counters
-from repro.mapreduce.job import Job
-from repro.mapreduce.output import CollectOutputFormat
-from repro.mapreduce.runner import JobRunner, estimate_pair_size
-from repro.mapreduce.scheduler import ScheduledTask, _Pending
+from repro.mapreduce.runner import JobRunner
+from repro.mapreduce.scheduler import (
+    JobRequest,
+    SlotScheduler,
+    _Execution,
+    _Running,
+)
 from repro.obs import Observability, current_obs
-from repro.sim.metrics import Metrics
 
 from repro.cluster.config import ClusterPolicy
-from repro.cluster.report import ClusterReport, JobOutcome, percentile
+from repro.cluster.report import ClusterReport, JobOutcome
 from repro.cluster.wal import ClusterWAL
 
 
-@dataclass(frozen=True)
-class JobRequest:
-    """One job submission: who wants what, and when.
-
-    ``deadline`` (seconds after arrival, None = none) arms deadline-
-    aware admission: the manager sheds the job up front if the cost
-    model predicts it cannot finish in time.
-    """
-
-    job: Job
-    tenant: str
-    arrival: float
-    request_id: int = 0
-    kind: str = ""  # workload class label (crawl_scan / analytics / ...)
-    deadline: Optional[float] = None
-
-
-@dataclass
-class _Running:
-    """One in-flight map attempt on a slot."""
-
-    execution: "_Execution"
-    pending: _Pending
-    task: ScheduledTask
-    node: int
-    slot: int
-    end: float
-    seq: int = 0
-    payload: Optional[Tuple[list, Counters]] = None
-    alive: bool = True      # False once preempted / node died / killed
-    faulted: bool = False   # attempt failed mid-read (FaultError)
-    speculative: bool = False
-    partner_seq: Optional[int] = None  # the other attempt in a race
-
-
-class _Execution:
-    """Mutable per-job state while a job is on the cluster.
-
-    ``state`` walks ``mapping -> shuffling -> finished``; a node death
-    that destroys committed map output reverts ``shuffling`` back to
-    ``mapping`` (the shuffle aborts) until the lost splits re-run.
-    """
-
-    def __init__(
-        self, request: JobRequest, queue: str, splits: List, eid: int
-    ) -> None:
-        self.request = request
-        self.queue = queue
-        self.splits = splits
-        self.eid = eid
-        self.pending: List[_Pending] = [
-            _Pending(i, 0) for i in range(len(splits))
-        ]
-        self.attempts_used = [0] * len(splits)
-        self.payloads: Dict[int, Tuple[list, Counters]] = {}
-        #: which node holds each committed split's spilled map output
-        self.payload_nodes: Dict[int, int] = {}
-        self.tasks: List[ScheduledTask] = []
-        self.running = 0
-        self.started = False
-        self.start = 0.0
-        self.preemptions = 0
-        self.failed: Optional[str] = None
-        self.state = "mapping"
-        self.map_end = 0.0
-        self.shuffle_end = 0.0
-        self.shuffle_gen = 0  # bumped on every start/abort; stales heap entries
-        self.map_output_losses = 0
-        #: split indices that already have (or had) a speculative clone
-        self.speculated: Set[int] = set()
-
-    @property
-    def job(self) -> Job:
-        return self.request.job
-
-    @property
-    def tenant(self) -> str:
-        return self.request.tenant
-
-    def done(self) -> bool:
-        return (
-            self.failed is None
-            and not self.pending
-            and self.running == 0
-            and len(self.payloads) == len(self.splits)
-        )
-
-    def unfinished(self) -> bool:
-        return self.failed is None and self.state != "finished"
-
-    def ready(self, now: float) -> List[_Pending]:
-        if self.failed is not None:
-            return []
-        return [p for p in self.pending if p.ready <= now]
-
-
-class ClusterManager:
+class ClusterManager(SlotScheduler):
     """Arbitrates one cluster's map slots between many jobs."""
 
     def __init__(
@@ -181,54 +66,30 @@ class ClusterManager:
         max_attempts: Optional[int] = None,
         wal: Optional[ClusterWAL] = None,
     ) -> None:
-        self.fs = fs
+        obs = obs if obs is not None else current_obs()
+        self.runner = JobRunner(fs, obs, faults)
+        super().__init__(
+            fs, obs, self.runner._injector(),
+            speculation=policy.speculation,
+            backoff=policy.backoff,
+            max_attempts=max_attempts,
+            wal=wal,
+        )
         self.policy = policy
-        self.obs = obs if obs is not None else current_obs()
-        self.runner = JobRunner(fs, self.obs, faults)
-        self.faults = self.runner._injector()
-        #: overrides every job's own max_attempts when set
-        self.max_attempts = max_attempts
-        self.wal = wal
-        backoff = policy.backoff
-        if backoff.seed == 0:
-            backoff = replace(backoff, seed=fs.cluster.seed)
-        self.retry_backoff = ExponentialBackoff(backoff)
-
-        cluster = fs.cluster
-        self.free: List[Tuple[int, int]] = [
-            (node, slot)
-            for node in range(cluster.num_nodes)
-            for slot in range(cluster.map_slots_per_node)
-        ]
-        self.total_slots = len(self.free)
-        self.dead_nodes: set = set()
-        self.running: Dict[int, _Running] = {}
-        self._completions: List[Tuple[float, int]] = []
-        self._shuffles: List[Tuple[float, int, int]] = []  # (end, eid, gen)
-        self._attempt_seq = 0
-        self.executions: List[_Execution] = []
+        self._queue: List[JobRequest] = []
+        self._next_req = 0
         self.outcomes: List[JobOutcome] = []
-        #: per-queue successful attempt durations (speculation samples)
-        self._durations: Dict[str, List[float]] = {}
         #: committed job results, keyed by request_id (tests, repro.check)
         self.job_counters: Dict[int, Counters] = {}
         self.job_outputs: Dict[int, List[Tuple[object, object]]] = {}
-        self.busy_slot_seconds = 0.0
         self.preemptions = 0
-        self.map_output_losses = 0
-        self.speculative_attempts = 0
-        self.horizon = 0.0
-        self.now = 0.0
-
-    def _wal_append(self, kind: str, /, **fields) -> None:
-        if self.wal is not None:
-            self.wal.append(kind, **fields)
 
     # -- public entry point --------------------------------------------
 
     def run(self, requests: List[JobRequest]) -> ClusterReport:
         """Run every request to completion; returns the latency report."""
-        queue = sorted(requests, key=lambda r: (r.arrival, r.request_id))
+        self._queue = sorted(requests, key=lambda r: (r.arrival, r.request_id))
+        self._next_req = 0
         self.obs.emit(
             "cluster.start", sim_time=0.0,
             policy=self.policy.policy,
@@ -236,72 +97,9 @@ class ClusterManager:
             slots=self.total_slots,
             queues=len(self.policy.queues),
             tenants=len(self.policy.tenants),
-            jobs=len(queue),
+            jobs=len(self._queue),
         )
-        next_req = 0
-        while True:
-            # Everything due at the current instant, in causal order:
-            # completed shuffles commit (their data is safely across the
-            # network), faults fire, finished attempts release their
-            # slots, new jobs pass admission, under-served queues evict,
-            # then the freed/idle slots are assigned.
-            self._drain_shuffles(self.now)
-            self._fire_faults(self.now)
-            self._drain_completions(self.now)
-            while (
-                next_req < len(queue)
-                and queue[next_req].arrival <= self.now
-            ):
-                self._admit(queue[next_req])
-                next_req += 1
-            if self.policy.policy == "fair":
-                self._preempt(self.now)
-            self._assign(self.now)
-
-            # Advance to the next event.  Assignment executes attempts
-            # eagerly, so completions scheduled for this same instant
-            # (zero-length attempts) re-run the loop without moving.
-            self._prune_completions()
-            self._prune_shuffles()
-            future = []
-            if next_req < len(queue):
-                future.append(queue[next_req].arrival)
-            if self._completions:
-                future.append(self._completions[0][0])
-            if self._shuffles:
-                future.append(self._shuffles[0][0])
-            for execution in self.executions:
-                if execution.failed is not None:
-                    continue
-                for p in execution.pending:
-                    if p.ready > self.now:
-                        future.append(p.ready)
-            if self.policy.speculation.enabled and self.free:
-                wake = self._next_speculation_time()
-                if wake is not None and wake > self.now:
-                    future.append(wake)
-            if self.faults is not None and (
-                next_req < len(queue)
-                or any(e.unfinished() for e in self.executions)
-            ):
-                # While work is outstanding, faults are timeline events
-                # of their own: they must land at their exact instants —
-                # through the shuffle and reduce phases included — not
-                # at whatever scheduling boundary follows.
-                next_fault = self.faults.next_time()
-                if next_fault is not None:
-                    future.append(next_fault)
-            if not future:
-                if any(
-                    e.failed is None and not e.done()
-                    for e in self.executions
-                ):
-                    # Ready work with nowhere to run and no event that
-                    # could change that: every slot died under it.
-                    self._strand()
-                break
-            self.now = max(self.now, min(future))
-            self.horizon = max(self.horizon, self.now)
+        self._loop()
         self._flush_faults()
         report = ClusterReport(
             policy=self.policy.policy,
@@ -340,6 +138,22 @@ class ClusterManager:
 
     # -- admission ------------------------------------------------------
 
+    def _arrive(self, now: float) -> None:
+        """New jobs pass admission, then under-served queues evict."""
+        while (
+            self._next_req < len(self._queue)
+            and self._queue[self._next_req].arrival <= now
+        ):
+            self._admit(self._queue[self._next_req])
+            self._next_req += 1
+        if self.policy.policy == "fair":
+            self._preempt(now)
+
+    def _next_arrival(self) -> Optional[float]:
+        if self._next_req < len(self._queue):
+            return self._queue[self._next_req].arrival
+        return None
+
     def _admit(self, request: JobRequest) -> None:
         tenant = self.policy.tenant(request.tenant)
         queue = tenant.queue
@@ -364,17 +178,10 @@ class ClusterManager:
                 "reject", t=request.arrival, job=request.job.name,
                 tenant=request.tenant, queued=waiting,
             )
-            self.outcomes.append(JobOutcome(
-                request_id=request.request_id,
-                job_name=request.job.name,
-                tenant=request.tenant,
-                queue=queue,
-                kind=request.kind,
-                arrival=request.arrival,
-                status="rejected",
-                deadline=request.deadline,
+            self._outcome(
+                request, queue, "rejected",
                 error=f"tenant queue full ({waiting}/{tenant.max_queued})",
-            ))
+            )
             return
         splits = request.job.input_format.get_splits(
             self.fs, self.fs.cluster
@@ -393,23 +200,19 @@ class ClusterManager:
                     tenant=request.tenant, predicted=predicted,
                     deadline=request.deadline,
                 )
-                self.outcomes.append(JobOutcome(
-                    request_id=request.request_id,
-                    job_name=request.job.name,
-                    tenant=request.tenant,
-                    queue=queue,
-                    kind=request.kind,
-                    arrival=request.arrival,
-                    status="shed",
-                    deadline=request.deadline,
+                self._outcome(
+                    request, queue, "shed",
                     error=(
                         f"predicted latency {predicted:.3f}s exceeds "
                         f"deadline {request.deadline:.3f}s"
                     ),
-                ))
+                )
                 return
-        execution = _Execution(request, queue, splits, len(self.executions))
-        self.executions.append(execution)
+        self.submit(
+            request, splits,
+            partial(self.runner.execute_map_attempt, request.job),
+            queue=queue,
+        )
         self.obs.emit(
             "admission.accept", sim_time=request.arrival,
             job=request.job.name, tenant=request.tenant, queue=queue,
@@ -419,6 +222,24 @@ class ClusterManager:
             "admit", t=request.arrival, job=request.job.name,
             tenant=request.tenant, queue=queue, splits=len(splits),
         )
+
+    def _outcome(
+        self, request: JobRequest, queue: str, status: str, **fields
+    ) -> JobOutcome:
+        """Record the request's terminal state."""
+        outcome = JobOutcome(
+            request_id=request.request_id,
+            job_name=request.job.name,
+            tenant=request.tenant,
+            queue=queue,
+            kind=request.kind,
+            arrival=request.arrival,
+            status=status,
+            deadline=request.deadline,
+            **fields,
+        )
+        self.outcomes.append(outcome)
+        return outcome
 
     def _predict_latency(self, request: JobRequest, splits: List) -> float:
         """Cost-model estimate of the job's completion latency.
@@ -452,21 +273,7 @@ class ClusterManager:
                 backlog += cost(execution.splits[pending.index])
         return (backlog + work) / slots + cluster.job_overhead_seconds
 
-    # -- faults / node loss --------------------------------------------
-
-    def _fire_faults(self, now: float) -> None:
-        if self.faults is None:
-            return
-        self.faults.advance_time(now)
-        self._handle_faults()
-
-    def _handle_faults(self) -> None:
-        if self.faults is None:
-            return
-        for node, died_at in self.faults.drain_dead():
-            self._node_lost(node, died_at)
-        for node in self.faults.drain_retired():
-            self._retire_node(node)
+    # -- faults ---------------------------------------------------------
 
     def _flush_faults(self) -> None:
         """End of run: fire every fault due inside the job timeline
@@ -475,8 +282,7 @@ class ClusterManager:
         them silently."""
         if self.faults is None:
             return
-        self.faults.advance_time(self.horizon)
-        self._handle_faults()
+        self._fire_faults(self.horizon)
         for event in self.faults.pending_events():
             attrs = {"fault": event.kind}
             if event.at_time is not None:
@@ -489,194 +295,20 @@ class ClusterManager:
                 "fault.ignored", sim_time=self.horizon, **attrs
             )
 
-    def _retire_node(self, node: int) -> None:
-        self.dead_nodes.add(node)
-        self.free = [(n, s) for n, s in self.free if n != node]
+    # -- job lifecycle --------------------------------------------------
 
-    def _node_lost(self, node: int, died_at: float) -> None:
-        self._retire_node(node)
-        self.obs.emit("node.lost", sim_time=died_at, node=node)
-        self._wal_append("node_lost", t=died_at, node=node)
-        for running in list(self.running.values()):
-            if not running.alive or running.node != node:
-                continue
-            self._truncate(running, died_at, "node died")
-            execution = running.execution
-            execution.running -= 1
-            self.obs.registry.counter(
-                "task.attempts", outcome="node_lost"
-            ).inc()
-            split_label = execution.splits[running.pending.index].label
-            self.obs.emit(
-                "task.finish", sim_time=died_at, kind="map",
-                split=split_label,
-                node=node, slot=running.slot,
-                attempt=running.pending.attempt, outcome="lost",
-                error="node died", duration=running.task.duration,
-                job=execution.job.name, tenant=execution.tenant,
-                speculative=running.speculative,
-            )
-            self._wal_append(
-                "complete", t=died_at, job=execution.job.name,
-                split=split_label, node=node, outcome="lost",
-            )
-            if self._live_partner(running) is not None:
-                # The racing attempt on another node still covers this
-                # split; losing one contender costs nothing further.
-                if running.speculative:
-                    execution.speculated.discard(running.pending.index)
-                continue
-            self._requeue(
-                execution, running.pending, died_at,
-                frozenset({node}), "node died",
-                consume_attempt=not running.speculative,
-            )
-        self._invalidate_outputs(node, died_at)
-
-    def _invalidate_outputs(self, node: int, died_at: float) -> None:
-        """Durable-output bookkeeping: a dead node takes every spilled
-        map output it held.  Jobs whose shuffle has not completed lose
-        those splits and re-run them (no retry budget consumed — output
-        loss is not the task's failure); an in-flight shuffle aborts."""
-        for execution in self.executions:
-            if not execution.unfinished():
-                continue
-            lost = sorted(
-                index
-                for index, holder in execution.payload_nodes.items()
-                if holder == node and index in execution.payloads
-            )
-            if not lost:
-                continue
-            if execution.state == "shuffling":
-                execution.state = "mapping"
-                execution.shuffle_gen += 1
-                self.obs.emit(
-                    "shuffle.abort", sim_time=died_at,
-                    job=execution.job.name, tenant=execution.tenant,
-                    node=node, lost_splits=len(lost),
-                )
-                self._wal_append(
-                    "shuffle_abort", t=died_at, job=execution.job.name,
-                    node=node,
-                )
-            for index in lost:
-                del execution.payloads[index]
-                del execution.payload_nodes[index]
-                execution.map_output_losses += 1
-                self.map_output_losses += 1
-                split_label = execution.splits[index].label
-                self.obs.registry.counter(
-                    "cluster.mapoutput.lost"
-                ).inc()
-                self.obs.emit(
-                    "mapoutput.lost", sim_time=died_at,
-                    split=split_label, node=node,
-                    job=execution.job.name, tenant=execution.tenant,
-                )
-                self._wal_append(
-                    "output_lost", t=died_at, job=execution.job.name,
-                    split=split_label, node=node,
-                )
-                self._requeue(
-                    execution,
-                    _Pending(
-                        index, execution.attempts_used[index], died_at,
-                    ),
-                    died_at, frozenset({node}), "map output lost",
-                    consume_attempt=False,
-                )
-
-    # -- attempt lifecycle ---------------------------------------------
-
-    def _truncate(
-        self, running: _Running, at: float, error: str
-    ) -> None:
-        """Stop a live attempt at ``at``; its work so far is wasted."""
-        running.alive = False
-        task = running.task
-        task.failed = True
-        task.error = error
-        task.duration = max(0.0, at - task.start)
-        self.busy_slot_seconds += task.duration
-
-    def _live_partner(self, running: _Running) -> Optional[_Running]:
-        """The other attempt racing this one, if it is still alive."""
-        if running.partner_seq is None:
-            return None
-        partner = self.running.get(running.partner_seq)
-        if partner is not None and partner.alive:
-            return partner
-        return None
-
-    def _requeue(
-        self,
-        execution: _Execution,
-        pending: _Pending,
-        now: float,
-        banned: frozenset,
-        error: str,
-        consume_attempt: bool,
-    ) -> None:
-        index = pending.index
-        if not consume_attempt:
-            # A preempted attempt (or a lost map output) is the
-            # scheduler's fault, not the task's: give the attempt back
-            # so eviction can never starve a job into failed-job
-            # territory.
-            execution.attempts_used[index] -= 1
-        limit = max(
-            1,
-            self.max_attempts
-            if self.max_attempts is not None
-            else execution.job.max_attempts,
-        )
-        if execution.attempts_used[index] >= limit:
-            self._fail_job(
-                execution,
-                f"split {execution.splits[index].label or index} failed "
-                f"{execution.attempts_used[index]} of {limit} "
-                f"allowed attempts (last error: {error})",
-                now,
-            )
-            return
-        delay = 0.0
-        if consume_attempt:
-            # A genuine failure backs off before relaunching — seeded
-            # exponential delay with jitter so simultaneous failures
-            # spread out instead of re-colliding.
-            label = (
-                f"{execution.job.name}:"
-                f"{execution.splits[index].label or index}"
-            )
-            delay = self.retry_backoff.delay(
-                label, max(0, execution.attempts_used[index] - 1)
-            )
-            if delay > 0:
-                self.obs.emit(
-                    "retry.backoff", sim_time=now,
-                    job=execution.job.name,
-                    split=execution.splits[index].label or str(index),
-                    attempt=execution.attempts_used[index],
-                    delay=delay, ready=now + delay,
-                )
-        execution.pending.append(_Pending(
-            index,
-            execution.attempts_used[index],
-            now + delay,
-            pending.banned | banned,
-        ))
-        self._wal_append(
-            "requeue", t=now, job=execution.job.name,
-            split=execution.splits[index].label or str(index),
-            ready=now + delay, attempt=execution.attempts_used[index],
+    def _dispatched(self, execution: _Execution, now: float) -> None:
+        self.obs.emit(
+            "job.dispatch", sim_time=now,
+            job=execution.job.name, tenant=execution.tenant,
+            queue=execution.queue, splits=len(execution.splits),
+            wait=now - execution.request.arrival,
         )
 
     def _fail_job(
         self, execution: _Execution, error: str, now: float
     ) -> None:
-        execution.failed = error
-        execution.pending.clear()
+        super()._fail_job(execution, error, now)
         self.obs.emit(
             "job.finish", sim_time=now,
             job=execution.job.name, tenant=execution.tenant,
@@ -685,242 +317,23 @@ class ClusterManager:
         self._wal_append(
             "job_failed", t=now, job=execution.job.name, error=error,
         )
-        self.outcomes.append(JobOutcome(
-            request_id=execution.request.request_id,
-            job_name=execution.job.name,
-            tenant=execution.tenant,
-            queue=execution.queue,
-            kind=execution.request.kind,
-            arrival=execution.request.arrival,
-            status="failed",
+        self._outcome(
+            execution.request, execution.queue, "failed",
             start=execution.start,
             attempts=len(execution.tasks),
             preemptions=execution.preemptions,
-            deadline=execution.request.deadline,
             error=error,
-        ))
-
-    def _strand(self) -> None:
-        for execution in self.executions:
-            if execution.failed is None and not execution.done():
-                self._fail_job(
-                    execution, "no live map slots remain", self.now
-                )
-
-    # -- completions ----------------------------------------------------
-
-    def _prune_completions(self) -> None:
-        """Drop stale heap tops (attempts preempted / killed with
-        their node) so they never masquerade as future events."""
-        while self._completions:
-            _, seq = self._completions[0]
-            running = self.running.get(seq)
-            if running is not None and running.alive:
-                return
-            heapq.heappop(self._completions)
-            self.running.pop(seq, None)
-
-    def _drain_completions(self, upto: float) -> None:
-        while self._completions and self._completions[0][0] <= upto:
-            end, seq = heapq.heappop(self._completions)
-            running = self.running.pop(seq, None)
-            if running is None or not running.alive:
-                continue  # preempted or killed with the node
-            running.alive = False
-            execution = running.execution
-            execution.running -= 1
-            self.busy_slot_seconds += running.task.duration
-            if running.node not in self.dead_nodes:
-                self.free.append((running.node, running.slot))
-            outcome = "failed" if running.faulted else "ok"
-            self.obs.registry.counter(
-                "task.attempts", outcome=outcome
-            ).inc()
-            split_label = execution.splits[running.pending.index].label
-            finish_attrs = dict(
-                kind="map",
-                split=split_label,
-                node=running.node, slot=running.slot,
-                attempt=running.pending.attempt, outcome=outcome,
-                duration=running.task.duration,
-                job=execution.job.name, tenant=execution.tenant,
-            )
-            if running.speculative:
-                finish_attrs["speculative"] = True
-            if running.faulted:
-                finish_attrs["error"] = running.task.error
-            self.obs.emit("task.finish", sim_time=end, **finish_attrs)
-            self._wal_append(
-                "complete", t=end, job=execution.job.name,
-                split=split_label, node=running.node, outcome=outcome,
-            )
-            partner = self._live_partner(running)
-            if running.faulted:
-                if running.speculative:
-                    self.obs.registry.counter(
-                        "scheduler.speculation", outcome="failed"
-                    ).inc()
-                if partner is not None:
-                    # The other attempt still covers the split; this
-                    # failure costs nothing further.
-                    if running.speculative:
-                        execution.speculated.discard(running.pending.index)
-                    continue
-                self._requeue(
-                    execution, running.pending, end,
-                    frozenset({running.node}),
-                    running.task.error or "fault",
-                    consume_attempt=not running.speculative,
-                )
-            else:
-                execution.payloads[running.pending.index] = running.payload
-                execution.payload_nodes[running.pending.index] = running.node
-                self._durations.setdefault(
-                    execution.queue, []
-                ).append(running.task.duration)
-                if partner is not None:
-                    self._lose_race(partner, end, winner=running)
-            if execution.done():
-                self._start_shuffle(execution, end)
-
-    def _lose_race(
-        self, loser: _Running, end: float, winner: _Running
-    ) -> None:
-        """First finisher wins: the moment the winner's payload commits,
-        the racing attempt is killed (not failed — no budget, no
-        requeue) and its slot returns to the pool."""
-        loser.alive = False
-        task = loser.task
-        task.killed = True
-        task.duration = max(0.0, end - task.start)
-        self.busy_slot_seconds += task.duration
-        execution = loser.execution
-        execution.running -= 1
-        if loser.node not in self.dead_nodes:
-            self.free.append((loser.node, loser.slot))
-        outcome = "won" if winner.speculative else "lost"
-        self.obs.registry.counter("task.attempts", outcome="killed").inc()
-        self.obs.registry.counter(
-            "scheduler.speculation", outcome=outcome
-        ).inc()
-        split_label = execution.splits[loser.pending.index].label
-        self.obs.emit(
-            "task.finish", sim_time=end, kind="map",
-            split=split_label, node=loser.node, slot=loser.slot,
-            attempt=loser.pending.attempt, outcome="killed",
-            duration=task.duration, job=execution.job.name,
-            tenant=execution.tenant, speculative=loser.speculative,
         )
-        self.obs.emit(
-            "scheduler.speculation", sim_time=end,
-            split=split_label, job=execution.job.name,
-            tenant=execution.tenant, outcome=outcome,
-            winner_node=winner.node, loser_node=loser.node,
-            saved=max(0.0, loser.end - end),
-        )
-        self._wal_append(
-            "complete", t=end, job=execution.job.name,
-            split=split_label, node=loser.node, outcome="killed",
-        )
-
-    # -- shuffle window -------------------------------------------------
-
-    def _shuffle_window(self, execution: _Execution) -> float:
-        """How long the job's map outputs stay vulnerable after the last
-        map finishes: the time the largest reduce partition takes to
-        cross the network.  Each reduce task charges at least its own
-        partition's shuffle time, so this is a lower bound on the reduce
-        makespan — the fault-free timeline is unchanged."""
-        job = execution.job
-        if job.is_map_only or job.num_reducers <= 0:
-            return 0.0
-        rate = self.fs.cluster.network.shuffle_bytes_per_sec
-        if rate <= 0:
-            return 0.0
-        partitions = max(job.num_reducers, 1)
-        per_partition = [0] * partitions
-        for payload, _counters in execution.payloads.values():
-            for index, partition in enumerate(payload):
-                per_partition[index] += sum(
-                    estimate_pair_size(key, value)
-                    for key, value in partition
-                )
-        return max(per_partition) / rate
-
-    def _start_shuffle(self, execution: _Execution, map_end: float) -> None:
-        """All splits committed: open the shuffle window.  The job's
-        output is durable only once the window closes; until then a node
-        death can claw back this job's map outputs."""
-        execution.map_end = map_end
-        window = self._shuffle_window(execution)
-        if window <= 0.0:
-            self._finalize(execution, map_end)
-            return
-        execution.state = "shuffling"
-        execution.shuffle_gen += 1
-        execution.shuffle_end = map_end + window
-        heapq.heappush(
-            self._shuffles,
-            (execution.shuffle_end, execution.eid, execution.shuffle_gen),
-        )
-        self.obs.emit(
-            "shuffle.start", sim_time=map_end,
-            job=execution.job.name, tenant=execution.tenant,
-            window=window, end=execution.shuffle_end,
-            partitions=max(execution.job.num_reducers, 1),
-        )
-        self._wal_append(
-            "shuffle_start", t=map_end, job=execution.job.name,
-            end=execution.shuffle_end,
-        )
-
-    def _prune_shuffles(self) -> None:
-        while self._shuffles:
-            _end, eid, gen = self._shuffles[0]
-            execution = self.executions[eid]
-            if (
-                execution.failed is None
-                and execution.state == "shuffling"
-                and execution.shuffle_gen == gen
-            ):
-                return
-            heapq.heappop(self._shuffles)
-
-    def _drain_shuffles(self, upto: float) -> None:
-        while self._shuffles and self._shuffles[0][0] <= upto:
-            end, eid, gen = heapq.heappop(self._shuffles)
-            execution = self.executions[eid]
-            if (
-                execution.failed is not None
-                or execution.state != "shuffling"
-                or execution.shuffle_gen != gen
-            ):
-                continue  # aborted (and possibly restarted) since
-            self.obs.emit(
-                "shuffle.finish", sim_time=end,
-                job=execution.job.name, tenant=execution.tenant,
-            )
-            self._finalize(execution, execution.map_end)
 
     def _finalize(self, execution: _Execution, map_end: float) -> None:
         """Shuffle complete: run sort/reduce and commit the job.  From
         here the job is immune to node deaths — its inputs are across
         the network."""
-        execution.state = "finished"
+        super()._finalize(execution, map_end)
         job = execution.job
         counters = Counters()
-        map_outputs = []
-        for index in range(len(execution.splits)):
-            partitions, task_counters = execution.payloads[index]
-            map_outputs.append(partitions)
-            counters.merge(task_counters)
-        output_format = job.output_format
-        collect = None
-        if output_format is None:
-            collect = CollectOutputFormat()
-            output_format = collect
-        reduce_makespan, _ = self.runner.run_reduce_phase(
-            job, map_outputs, output_format, counters, map_end
+        reduce_makespan, _, collected = self.runner.run_reduce_phase(
+            job, execution.payloads, counters, map_end
         )
         finish = (
             map_end + reduce_makespan
@@ -929,25 +342,17 @@ class ClusterManager:
         self.horizon = max(self.horizon, finish)
         request_id = execution.request.request_id
         self.job_counters[request_id] = counters
-        if collect is not None:
-            self.job_outputs[request_id] = collect.collected
-        outcome = JobOutcome(
-            request_id=request_id,
-            job_name=job.name,
-            tenant=execution.tenant,
-            queue=execution.queue,
-            kind=execution.request.kind,
-            arrival=execution.request.arrival,
-            status="completed",
+        if collected is not None:
+            self.job_outputs[request_id] = collected
+        outcome = self._outcome(
+            execution.request, execution.queue, "completed",
             start=execution.start,
             finish=finish,
             map_makespan=map_end - execution.start,
             reduce_time=reduce_makespan,
             attempts=len(execution.tasks),
             preemptions=execution.preemptions,
-            deadline=execution.request.deadline,
         )
-        self.outcomes.append(outcome)
         finish_attrs = {}
         if outcome.deadline is not None:
             finish_attrs["deadline"] = outcome.deadline
@@ -1016,19 +421,16 @@ class ClusterManager:
         # second; ties break on placement for determinism.
         return max(
             candidates,
-            key=lambda r: (r.speculative, r.end, -r.node, -r.slot),
+            key=lambda r: (r.speculative, r.task.end, -r.node, -r.slot),
         )
 
     def _preempt_one(
         self, running: _Running, now: float, by_queue: str
     ) -> None:
         self._truncate(running, now, "preempted")
-        running.task.preempted = True
         execution = running.execution
-        execution.running -= 1
         execution.preemptions += 1
         self.preemptions += 1
-        self.free.append((running.node, running.slot))
         split = execution.splits[running.pending.index]
         self.obs.registry.counter(
             "task.attempts", outcome="preempted"
@@ -1072,384 +474,47 @@ class ClusterManager:
 
     # -- assignment -----------------------------------------------------
 
-    def _assign(self, now: float) -> bool:
-        """Place ready work on free slots; True if anything launched."""
-        launched = False
-        while self.free:
-            placement = self._select(now)
-            if placement is None:
-                break
-            execution, pending, node, slot, local = placement
-            self._launch(now, execution, pending, node, slot, local)
-            launched = True
-        if self.policy.speculation.enabled and self.free:
-            self._speculate(now)
-        return launched
-
     def _select(self, now: float):
         if self.policy.policy == "fifo":
-            ordered = sorted(
-                (e for e in self.executions if e.ready(now)),
-                key=lambda e: (
-                    e.request.arrival, e.request.request_id
-                ),
-            )
-            for execution in ordered:
-                placed = self._place(execution, now)
-                if placed is not None:
-                    return placed
-            return None
+            return super()._select(now)
         # Hierarchical fair share: most-underserved queue, then
         # most-underserved tenant under quota, then oldest job.
-        skipped_queues: set = set()
-        while True:
-            queues = {}
-            for execution in self.executions:
-                if execution.queue in skipped_queues:
-                    continue
-                if execution.ready(now):
-                    queues.setdefault(execution.queue, []).append(execution)
-            if not queues:
-                return None
-            queue_name = min(
-                queues,
+        ready = [e for e in self.executions if e.ready(now)]
+        running = Counter(
+            r.execution.tenant for r in self.running.values() if r.alive
+        )
+        queues = sorted(
+            {e.queue for e in ready},
+            key=lambda name: (
+                self._running_in_queue(name)
+                / self.policy.queue(name).capacity,
+                name,
+            ),
+        )
+        for queue in queues:
+            in_queue = [e for e in ready if e.queue == queue]
+            tenants = sorted(
+                {e.tenant for e in in_queue},
                 key=lambda name: (
-                    self._running_in_queue(name)
-                    / self.policy.queue(name).capacity,
-                    name,
+                    running[name] / self.policy.tenant(name).weight, name,
                 ),
             )
-            placed = self._select_in_queue(queues[queue_name], now)
-            if placed is not None:
-                return placed
-            skipped_queues.add(queue_name)
-
-    def _select_in_queue(self, executions: List[_Execution], now: float):
-        running_by_tenant: Dict[str, int] = {}
-        for r in self.running.values():
-            if r.alive:
-                running_by_tenant[r.execution.tenant] = (
-                    running_by_tenant.get(r.execution.tenant, 0) + 1
-                )
-        by_tenant: Dict[str, List[_Execution]] = {}
-        for execution in executions:
-            by_tenant.setdefault(execution.tenant, []).append(execution)
-        skipped: set = set()
-        while True:
-            candidates = [
-                name for name in by_tenant if name not in skipped
-            ]
-            if not candidates:
-                return None
-            name = min(
-                candidates,
-                key=lambda n: (
-                    running_by_tenant.get(n, 0)
-                    / self.policy.tenant(n).weight,
-                    n,
-                ),
-            )
-            tenant = self.policy.tenant(name)
-            if (
-                tenant.max_running_slots > 0
-                and running_by_tenant.get(name, 0)
-                >= tenant.max_running_slots
-            ):
-                skipped.add(name)
-                continue
-            for execution in sorted(
-                by_tenant[name],
-                key=lambda e: (e.request.arrival, e.request.request_id),
-            ):
-                placed = self._place(execution, now)
-                if placed is not None:
-                    return placed
-            skipped.add(name)
-
-    def _place(self, execution: _Execution, now: float):
-        """Match one of the job's ready splits to a free slot,
-        data-local first."""
-        free = sorted(self.free)
-        ready = execution.ready(now)
-        for pending in ready:
-            locations = execution.splits[pending.index].locations
-            for node, slot in free:
-                if node in pending.banned:
+            for tenant in tenants:
+                quota = self.policy.tenant(tenant).max_running_slots
+                if 0 < quota <= running[tenant]:
                     continue
-                if node in locations:
-                    return execution, pending, node, slot, True
-        for pending in ready:
-            for node, slot in free:
-                if node in pending.banned:
-                    continue
-                return execution, pending, node, slot, False
+                for execution in sorted(
+                    (e for e in in_queue if e.tenant == tenant),
+                    key=lambda e: (e.request.arrival, e.request.request_id),
+                ):
+                    placed = self._place(execution, now)
+                    if placed is not None:
+                        return placed
         return None
 
-    def _launch(
-        self,
-        now: float,
-        execution: _Execution,
-        pending: _Pending,
-        node: int,
-        slot: int,
-        local: bool,
-    ) -> None:
-        self.free.remove((node, slot))
-        execution.pending.remove(pending)
-        if self.faults is not None:
-            self.faults.on_task_start()
-            self._handle_faults()
-            if node in self.dead_nodes or self.faults.is_dead(node):
-                # A task-boundary fault took the node out before the
-                # attempt started; the slot died with it.
-                execution.pending.append(pending)
-                return
-        job = execution.job
-        split = execution.splits[pending.index]
-        execution.attempts_used[pending.index] += 1
-        if not execution.started:
-            execution.started = True
-            execution.start = now
-            self.obs.emit(
-                "job.dispatch", sim_time=now,
-                job=job.name, tenant=execution.tenant,
-                queue=execution.queue, splits=len(execution.splits),
-                wait=now - execution.request.arrival,
-            )
-        placement = "local" if local else "remote"
-        self.obs.registry.counter(
-            "scheduler.assignments", placement=placement
-        ).inc()
-        self.obs.emit(
-            "task.start", sim_time=now, kind="map",
-            split=split.label, node=node, slot=slot,
-            attempt=pending.attempt, placement=placement,
-            job=job.name, tenant=execution.tenant, queue=execution.queue,
+    def _at_quota(self, execution: _Execution) -> bool:
+        quota = self.policy.tenant(execution.tenant).max_running_slots
+        return 0 < quota <= sum(
+            1 for r in self.running.values()
+            if r.alive and r.execution.tenant == execution.tenant
         )
-        self._wal_append(
-            "launch", t=now, job=job.name, split=split.label,
-            node=node, slot=slot, attempt=pending.attempt,
-        )
-        self._execute_attempt(now, execution, pending, node, slot, local)
-
-    def _execute_attempt(
-        self,
-        now: float,
-        execution: _Execution,
-        pending: _Pending,
-        node: int,
-        slot: int,
-        local: bool,
-        speculative: bool = False,
-        partner_seq: Optional[int] = None,
-    ) -> _Running:
-        """Run one attempt eagerly and register its completion event."""
-        job = execution.job
-        split = execution.splits[pending.index]
-        faulted = False
-        payload = None
-        try:
-            metrics, partitions, task_counters = (
-                self.runner.execute_map_attempt(job, split, node)
-            )
-            payload = (partitions, task_counters)
-            error = None
-        except FaultError as exc:
-            metrics = getattr(exc, "metrics", None) or Metrics()
-            error = str(exc) or type(exc).__name__
-            faulted = True
-        duration = metrics.task_time
-        task = ScheduledTask(
-            split, node, now, duration, metrics, local,
-            attempt=pending.attempt, failed=faulted, error=error,
-            split_index=pending.index, slot=slot,
-            speculative=speculative,
-        )
-        execution.tasks.append(task)
-        execution.running += 1
-        # task.finish is deferred until the attempt actually resolves
-        # (drain / preemption / node loss): an attempt launched now may
-        # never reach its computed end.
-        self._attempt_seq += 1
-        running = _Running(
-            execution=execution,
-            pending=pending,
-            task=task,
-            node=node,
-            slot=slot,
-            end=now + duration,
-            seq=self._attempt_seq,
-            payload=payload,
-            faulted=faulted,
-            speculative=speculative,
-            partner_seq=partner_seq,
-        )
-        self.running[self._attempt_seq] = running
-        heapq.heappush(
-            self._completions, (now + duration, self._attempt_seq)
-        )
-        return running
-
-    # -- speculation ----------------------------------------------------
-
-    def _next_speculation_time(self) -> Optional[float]:
-        """Earliest instant a running attempt crosses the straggler
-        threshold.  Without this the event loop would only notice a
-        straggler at the next natural event — which in a quiet cluster
-        is the straggler's own completion, too late to help."""
-        cfg = self.policy.speculation
-        wake = None
-        for running in self.running.values():
-            if not running.alive or running.speculative:
-                continue
-            if self._live_partner(running) is not None:
-                continue
-            execution = running.execution
-            if execution.failed is not None:
-                continue
-            if running.pending.index in execution.speculated:
-                continue
-            samples = self._durations.get(execution.queue, ())
-            if len(samples) < cfg.min_samples:
-                continue
-            typical = percentile(samples, cfg.quantile * 100)
-            if typical <= 0:
-                continue
-            threshold = running.task.start + cfg.slowdown * typical
-            if wake is None or threshold < wake:
-                wake = threshold
-        return wake
-
-    def _speculate(self, now: float) -> None:
-        """Clone stragglers onto otherwise-idle slots.
-
-        A running original attempt is a straggler once it has been
-        running longer than ``slowdown`` times its queue's ``quantile``
-        completion duration (progress-based detection — the manager
-        never peeks at an attempt's predetermined end).  Worst straggler
-        first; each clone is charged to the owning tenant's fair share
-        and quota, and never consumes the original's retry budget.
-        """
-        cfg = self.policy.speculation
-        stragglers = []
-        for seq in sorted(self.running):
-            running = self.running[seq]
-            if not running.alive or running.speculative:
-                continue
-            if self._live_partner(running) is not None:
-                continue
-            execution = running.execution
-            if execution.failed is not None:
-                continue
-            if running.pending.index in execution.speculated:
-                continue
-            samples = self._durations.get(execution.queue, ())
-            if len(samples) < cfg.min_samples:
-                continue
-            typical = percentile(samples, cfg.quantile * 100)
-            elapsed = now - running.task.start
-            # >= so the threshold-crossing wake-up itself qualifies
-            if typical <= 0 or elapsed < cfg.slowdown * typical:
-                continue
-            stragglers.append((-elapsed, seq, running))
-        stragglers.sort(key=lambda item: (item[0], item[1]))
-        for _neg_elapsed, _seq, original in stragglers:
-            if not self.free:
-                break
-            if not original.alive:
-                continue
-            tenant = self.policy.tenant(original.execution.tenant)
-            if tenant.max_running_slots > 0:
-                in_use = sum(
-                    1 for r in self.running.values()
-                    if r.alive and r.execution.tenant == tenant.name
-                )
-                if in_use >= tenant.max_running_slots:
-                    continue
-            banned = original.pending.banned | frozenset({original.node})
-            split = original.execution.splits[original.pending.index]
-            placed = None
-            for node, slot in sorted(self.free):
-                if node in banned:
-                    continue
-                if node in split.locations:
-                    placed = (node, slot, True)
-                    break
-            if placed is None:
-                for node, slot in sorted(self.free):
-                    if node in banned:
-                        continue
-                    placed = (node, slot, False)
-                    break
-            if placed is None:
-                continue
-            self._launch_speculative(now, original, *placed)
-
-    def _launch_speculative(
-        self,
-        now: float,
-        original: _Running,
-        node: int,
-        slot: int,
-        local: bool,
-    ) -> None:
-        execution = original.execution
-        index = original.pending.index
-        split = execution.splits[index]
-        self.free.remove((node, slot))
-        execution.speculated.add(index)
-        if self.faults is not None:
-            self.faults.on_task_start()
-            self._handle_faults()
-            if node in self.dead_nodes or self.faults.is_dead(node):
-                # The boundary fault took the chosen node; the slot
-                # died with it and the clone never starts.
-                execution.speculated.discard(index)
-                return
-            if (
-                not original.alive
-                or execution.failed is not None
-                or index in execution.payloads
-            ):
-                # The same fault resolved the original (or the job);
-                # nothing left to race.
-                execution.speculated.discard(index)
-                self.free.append((node, slot))
-                return
-        pending = _Pending(
-            index, original.pending.attempt, now,
-            original.pending.banned | frozenset({original.node}),
-        )
-        self.speculative_attempts += 1
-        self.obs.registry.counter(
-            "scheduler.speculation", outcome="launched"
-        ).inc()
-        self.obs.emit(
-            "task.speculative", sim_time=now, split=split.label,
-            node=node, slot=slot, victim_node=original.node,
-            elapsed=now - original.task.start,
-            job=execution.job.name, tenant=execution.tenant,
-            queue=execution.queue,
-        )
-        placement = "local" if local else "remote"
-        self.obs.registry.counter(
-            "scheduler.assignments", placement=placement
-        ).inc()
-        self.obs.emit(
-            "task.start", sim_time=now, kind="map",
-            split=split.label, node=node, slot=slot,
-            attempt=pending.attempt, placement=placement,
-            speculative=True,
-            job=execution.job.name, tenant=execution.tenant,
-            queue=execution.queue,
-        )
-        self._wal_append(
-            "launch", t=now, job=execution.job.name, split=split.label,
-            node=node, slot=slot, attempt=pending.attempt,
-            speculative=True,
-        )
-        duplicate = self._execute_attempt(
-            now, execution, pending, node, slot, local,
-            speculative=True, partner_seq=original.seq,
-        )
-        original.partner_seq = duplicate.seq

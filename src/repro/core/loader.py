@@ -17,8 +17,10 @@ from typing import Dict, List, Optional
 from repro.core.cof import ColumnOutputFormat
 from repro.core.columnio import ColumnSpec
 from repro.core.lazy import LazyRecord
-from repro.mapreduce.scheduler import ScheduledTask, makespan, schedule_map_tasks
+from repro.mapreduce.job import Job
+from repro.mapreduce.scheduler import ScheduledTask, SlotScheduler, makespan
 from repro.mapreduce.types import InputFormat, InputSplit, TaskContext
+from repro.obs import NULL_OBS
 from repro.serde.schema import Schema
 from repro.sim.cost import CpuCostModel
 from repro.sim.metrics import Metrics
@@ -56,9 +58,8 @@ def parallel_load(
     cost = cost if cost is not None else CpuCostModel()
     splits = input_format.get_splits(fs, cluster)
     ordinal_of = {id(split): i for i, split in enumerate(splits)}
-    counters = {"records": 0, "dirs": 0}
 
-    def execute(split: InputSplit, node: int) -> Metrics:
+    def execute(split: InputSplit, node: int):
         ctx = TaskContext(
             node=node, cost=cost, io_buffer_size=cluster.io_buffer_size
         )
@@ -80,19 +81,19 @@ def parallel_load(
             metrics=ctx.metrics,
             first_split_index=ordinal_of[id(split)] * INDEX_STRIDE,
         )
-        counters["records"] += len(records)
-        counters["dirs"] += written
-        return ctx.metrics
+        return ctx.metrics, (len(records), written)
 
-    tasks = schedule_map_tasks(
-        splits, cluster.num_nodes, cluster.map_slots_per_node, execute
-    )
+    # One map-only request alone on the cluster; each attempt is a load
+    # task, and a failed one fails the load.
+    job = Job(f"load:{dataset}", None, input_format, max_attempts=1)
+    execution = SlotScheduler(fs, NULL_OBS).run_alone(job, splits, execute)
+    tasks = execution.tasks
     total = Metrics()
     for task in tasks:
         total.add(task.metrics)
     return ParallelLoadReport(
-        records=counters["records"],
-        split_dirs=counters["dirs"],
+        records=sum(records for records, _ in execution.payloads.values()),
+        split_dirs=sum(dirs for _, dirs in execution.payloads.values()),
         load_time=sum(t.duration for t in tasks) / cluster.total_map_slots,
         makespan=makespan(tasks),
         metrics=total,

@@ -16,19 +16,21 @@ import math
 import time
 import zlib
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Dict, List, Optional, Tuple
 
 from repro.faults import FaultInjector, FaultPlan, current_fault_plan
 from repro.hdfs.errors import FaultError
 from repro.hdfs.filesystem import FileSystem
-from repro.mapreduce.backoff import BackoffConfig, ExponentialBackoff
 from repro.mapreduce.counters import Counters
 from repro.mapreduce.job import Job
 from repro.mapreduce.output import CollectOutputFormat
 from repro.mapreduce.scheduler import (
     ScheduledTask,
+    SlotScheduler,
+    SpeculationConfig,
+    estimate_pair_size,
     makespan,
-    schedule_map_tasks,
     simulate_wave_makespan,
 )
 from repro.mapreduce.types import InputSplit, TaskContext
@@ -42,31 +44,6 @@ _SORT_SECONDS_PER_COMPARE = 30e-9
 #: Wall-time source for operator profiles when no tracer clock is
 #: injected (fake clocks keep recorded traces byte-identical in tests).
 _WALL_CLOCK = time.perf_counter
-
-
-def estimate_pair_size(key, value) -> int:
-    """Approximate serialized size of a shuffled (key, value) pair."""
-    return _sizeof(key) + _sizeof(value) + 2
-
-
-def _sizeof(obj) -> int:
-    if obj is None:
-        return 1
-    if isinstance(obj, bool):
-        return 1
-    if isinstance(obj, int):
-        return 5
-    if isinstance(obj, float):
-        return 8
-    if isinstance(obj, str):
-        return len(obj) + 2
-    if isinstance(obj, (bytes, bytearray)):
-        return len(obj) + 2
-    if isinstance(obj, (list, tuple, set, frozenset)):
-        return 4 + sum(_sizeof(x) for x in obj)
-    if isinstance(obj, dict):
-        return 4 + sum(_sizeof(k) + _sizeof(v) for k, v in obj.items())
-    return 16
 
 
 @dataclass
@@ -149,44 +126,20 @@ class JobRunner:
     def _run_traced(self, job: Job, obs: Observability) -> JobResult:
         cluster = self.fs.cluster
         splits = job.input_format.get_splits(self.fs, cluster)
-        counters = Counters()
-        injector = self._injector()
-        # One entry per executed attempt, aligned with the scheduler's
-        # task list: (partitions, counters) for a completed attempt,
-        # None for one that died mid-read.
-        attempt_payloads: List[Optional[Tuple[list, Counters]]] = []
-
-        def execute(split: InputSplit, node: int) -> Metrics:
-            try:
-                metrics, partitions, task_counters = (
-                    self.execute_map_attempt(job, split, node)
-                )
-            except FaultError:
-                attempt_payloads.append(None)
-                raise
-            attempt_payloads.append((partitions, task_counters))
-            return metrics
-
         input_fmt = type(job.input_format).__name__
         with obs.tracer.span("map_phase", kind="phase", splits=len(splits)):
             obs.emit(
                 "phase.start", sim_time=0.0, phase="map",
                 job=job.name, splits=len(splits),
             )
-            tasks = schedule_map_tasks(
-                splits,
-                cluster.num_nodes,
-                cluster.map_slots_per_node,
-                execute,
-                speculative=job.speculative,
-                obs=obs,
-                max_attempts=job.max_attempts,
-                faults=injector,
-                node_usable=self.fs.is_node_live,
-                retry_backoff=ExponentialBackoff(
-                    BackoffConfig(seed=cluster.seed)
-                ),
+            scheduler = SlotScheduler(
+                self.fs, obs, self._injector(),
+                speculation=SpeculationConfig(enabled=job.speculative),
             )
+            execution = scheduler.run_alone(
+                job, splits, partial(self.execute_map_attempt, job)
+            )
+            tasks = execution.tasks
             map_durations = obs.registry.histogram(
                 "task.duration.seconds", TASK_DURATION_BOUNDARIES, kind="map"
             )
@@ -218,20 +171,7 @@ class JobRunner:
                 "phase.finish", sim_time=makespan(tasks), phase="map",
                 job=job.name, makespan=makespan(tasks), tasks=len(tasks),
             )
-        # attempt_payloads is appended in execution order, which matches
-        # the task list.  Only surviving attempts — not killed in a
-        # speculative race, not failed by a fault — contribute output
-        # and job counters; that keeps both byte-identical between a
-        # fault-free run and any survivable chaos run (retry visibility
-        # lives in the obs registry's task.attempts counters instead).
-        map_outputs: List[List[List[Tuple[object, object]]]] = []
-        surviving: List[ScheduledTask] = []
-        for task, payload in zip(tasks, attempt_payloads):
-            if not task.produced_output or payload is None:
-                continue
-            surviving.append(task)
-            map_outputs.append(payload[0])
-            counters.merge(payload[1])
+        winners = list(execution.winners.values())
         map_metrics = Metrics()
         for task in tasks:
             map_metrics.add(task.metrics)
@@ -243,22 +183,16 @@ class JobRunner:
         # faults (a retry may land remote); it lives in the obs
         # registry (``scheduler.assignments{placement=...}``) and in
         # ``JobResult.data_local_fraction``.
-        counters.increment("map.tasks", len(surviving))
+        counters = Counters()
+        counters.increment("map.tasks", len(winners))
         counters.increment(
-            "map.records", sum(t.metrics.records for t in surviving)
+            "map.records", sum(t.metrics.records for t in winners)
         )
         obs.registry.counter("map.data_local_tasks").inc(
-            sum(1 for t in surviving if t.data_local)
+            sum(1 for t in winners if t.data_local)
         )
-
-        collect: Optional[CollectOutputFormat] = None
-        output_format = job.output_format
-        if output_format is None:
-            collect = CollectOutputFormat()
-            output_format = collect
-
-        reduce_makespan, reduce_metrics = self.run_reduce_phase(
-            job, map_outputs, output_format, counters, map_makespan
+        reduce_makespan, reduce_metrics, collected = self.run_reduce_phase(
+            job, execution.payloads, counters, map_makespan
         )
 
         total_time = (
@@ -275,7 +209,7 @@ class JobRunner:
             reduce_metrics=reduce_metrics,
             counters=counters,
             tasks=tasks,
-            output=collect.collected if collect is not None else [],
+            output=collected if collected is not None else [],
             attempts=len(tasks),
             failed_tasks=sum(1 for t in tasks if t.failed),
         )
@@ -284,16 +218,18 @@ class JobRunner:
 
     def execute_map_attempt(
         self, job: Job, split: InputSplit, node: Optional[int]
-    ) -> Tuple[Metrics, List[List[Tuple[object, object]]], Counters]:
+    ) -> Tuple[Metrics, Tuple[List[List[Tuple[object, object]]], Counters]]:
         """Run one map attempt for real on ``node``.
 
-        Returns ``(metrics, partitions, counters)`` for a completed
+        Returns ``(metrics, (partitions, counters))`` for a completed
         attempt.  A :class:`FaultError` raised mid-read is re-raised
         with the attempt's partial metrics attached — the work still
         happened on the cluster even though it produced no output.
 
-        This is the unit of execution shared by the single-job
-        scheduler and the multi-job :mod:`repro.cluster` manager.
+        Bound to its job, this is the per-attempt ``execute(split,
+        node)`` every map attempt runs through, whether the job is
+        alone on the cluster or one of many under the
+        :mod:`repro.cluster` manager.
         """
         ctx = TaskContext(
             node=node,
@@ -307,23 +243,41 @@ class JobRunner:
             if exc.metrics is None:
                 exc.metrics = ctx.metrics
             raise
-        return ctx.metrics, partitions, ctx.counters
+        return ctx.metrics, (partitions, ctx.counters)
 
     def run_reduce_phase(
         self,
         job: Job,
-        map_outputs: List[List[List[Tuple[object, object]]]],
-        output_format,
+        payloads: Dict[int, Tuple[list, Counters]],
         counters: Counters,
         start_time: float,
-    ) -> Tuple[float, Metrics]:
+    ) -> Tuple[float, Metrics, Optional[List[Tuple[object, object]]]]:
         """Shuffle/sort/reduce (or final write for map-only jobs).
 
-        ``start_time`` is the simulated time the map phase finished —
-        for a single job that is its map makespan; under the cluster
-        manager it is the job's position on the shared timeline.
-        Returns ``(reduce_makespan, reduce_metrics)``.
+        ``payloads`` holds each split's committed ``(partitions,
+        counters)``.  Only a split's committed attempt — not one killed
+        in a speculative race, failed by a fault or whose output a node
+        death took — contributes output and job counters, merged into
+        ``counters`` in split order.  That keeps both byte-identical
+        between a fault-free run and any survivable chaos run (retry
+        visibility lives in the obs registry's task.attempts counters
+        instead).  ``start_time`` is the simulated time the job's map
+        phase finished on the cluster's timeline.  Output goes to the
+        job's output format, or is collected when it has none.
+
+        Returns ``(reduce_makespan, reduce_metrics, collected)``;
+        ``collected`` is None for a job with an output format.
         """
+        map_outputs = []
+        for index in sorted(payloads):
+            partitions, task_counters = payloads[index]
+            map_outputs.append(partitions)
+            counters.merge(task_counters)
+        output_format = job.output_format
+        collected = None
+        if output_format is None:
+            output_format = CollectOutputFormat()
+            collected = output_format.collected
         obs = self.obs
         cluster = self.fs.cluster
         reduce_metrics = Metrics()
@@ -341,7 +295,7 @@ class JobRunner:
                     for key, value in partition:
                         writer.write(key, value)
             writer.close()
-            return 0.0, reduce_metrics
+            return 0.0, reduce_metrics, collected
 
         durations = []
         with obs.tracer.span(
@@ -399,7 +353,7 @@ class JobRunner:
                 makespan=reduce_makespan,
             )
         counters.increment("reduce.tasks", job.num_reducers)
-        return reduce_makespan, reduce_metrics
+        return reduce_makespan, reduce_metrics, collected
 
     def _run_map_task(
         self, job: Job, split: InputSplit, ctx: TaskContext

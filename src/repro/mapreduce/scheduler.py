@@ -1,34 +1,66 @@
-"""Locality-aware, event-driven slot scheduling with task attempts.
+"""The one map-slot scheduler: locality, attempts, faults, speculation.
 
 Reproduces the scheduling behaviour the paper's co-location argument
 depends on (Section 4.1): when a map slot frees up, the scheduler
 prefers a split whose data is local to that node; if none exists the
 task runs anyway and pays remote-read costs.  Task durations are not
-known in advance — the scheduler *executes* each task (via a callback)
-once it has decided where it runs, because placement determines how much
-of the split is read remotely.
+known in advance — the scheduler *executes* each attempt (through the
+request's ``execute(split, node) -> (metrics, payload)`` function) once
+it has decided where it runs, because placement determines how much of
+the split is read remotely.  The attempt's completion then becomes an
+event on the simulated timeline.
 
-On top of that sits Hadoop's fault-tolerance contract: each split is
-run as a sequence of *attempts*.  An attempt that raises a
-:class:`~repro.hdfs.errors.FaultError` (transient read error, dead
-node, missing block) — or that was running on a node when it died — is
-retried on a surviving node, up to ``max_attempts`` per split.  Nodes
-that repeatedly fail attempts are blacklisted.  When a split exhausts
-its attempts the job fails cleanly with a :class:`JobFailedError`
-carrying the attempt history.
+:class:`SlotScheduler` is the only event loop that runs map attempts.
+A single job (``JobRunner.run``, and with it ``run_job`` and ``Q.run``)
+and the parallel COF loader each run as one request alone on the
+cluster, FIFO with one tenant (:meth:`SlotScheduler.run_alone`).  The multi-job
+:class:`~repro.cluster.manager.ClusterManager` subclasses the loop and
+adds admission control, hierarchical fair share, preemption and the
+write-ahead log on top.
+
+On top of placement sits Hadoop's fault-tolerance contract:
+
+- each split runs as a sequence of *attempts*.  An attempt that raises
+  a :class:`~repro.hdfs.errors.FaultError` (transient read error, dead
+  node, missing block) — or that was running on a node when it died —
+  is retried on another node after a seeded exponential backoff, up to
+  ``max_attempts`` per split.  A node that fails
+  :data:`BLACKLIST_AFTER` of one job's attempts is blacklisted for that
+  job.  When a split exhausts its attempts the job fails; a single
+  request raises :class:`JobFailedError`,
+- a completed attempt's spilled output lives on the node that ran it.
+  The job stays vulnerable until its shuffle window closes (the time
+  the largest reduce partition takes to cross the network — a lower
+  bound on the reduce makespan, so fault-free finish times are
+  unchanged).  A node death before then re-queues every split whose
+  output it held, without consuming retry budget,
+- stragglers are cloned onto idle slots (:class:`SpeculationConfig`);
+  the first finisher wins and the loser is killed.
 """
 
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, field
-from typing import Callable, FrozenSet, List, Optional, Sequence
+from dataclasses import dataclass, field, replace
+from typing import (
+    Callable, Dict, FrozenSet, List, Optional, Sequence, Set, Tuple,
+)
 
 from repro.hdfs.errors import FaultError
-from repro.mapreduce.backoff import BackoffLike, resolve_backoff
+from repro.hdfs.filesystem import FileSystem
+from repro.mapreduce.backoff import BackoffConfig, ExponentialBackoff
+from repro.mapreduce.job import Job
 from repro.mapreduce.types import InputSplit
-from repro.obs import NULL_OBS, Observability
+from repro.obs import Observability, current_obs
 from repro.sim.metrics import Metrics
+
+#: Failed attempts of one job on one node before that job blacklists it.
+BLACKLIST_AFTER = 3
+
+#: ``execute(split, node) -> (metrics, payload)``: one attempt, run for
+#: real.  It raises :class:`~repro.hdfs.errors.FaultError` (optionally
+#: carrying the partial ``metrics``) when the attempt dies mid-read.
+Execute = Callable[[InputSplit, int], Tuple[Metrics, object]]
 
 
 @dataclass
@@ -48,7 +80,6 @@ class ScheduledTask:
     error: Optional[str] = None
     split_index: int = -1
     slot: int = -1        # which of the node's map slots ran the attempt
-    preempted: bool = False  # evicted by a higher-priority queue; requeued
 
     @property
     def end(self) -> float:
@@ -72,6 +103,102 @@ class JobFailedError(RuntimeError):
         self.attempts: List[dict] = list(attempts or [])
 
 
+@dataclass(frozen=True)
+class SpeculationConfig:
+    """When and how aggressively the scheduler clones stragglers.
+
+    Every completed attempt's duration feeds a per-queue sample.  A
+    running original attempt becomes a straggler once it has run longer
+    than ``slowdown`` times the queue's ``quantile`` duration
+    (nearest-rank, so detection is deterministic).  With fewer than
+    ``min_samples`` completions in a queue there is no trustworthy
+    notion of "slow" yet, so nothing speculates.
+    """
+
+    enabled: bool = False
+    slowdown: float = 1.5    # straggler = elapsed > slowdown * typical
+    quantile: float = 0.5    # "typical" = this quantile of completions
+    min_samples: int = 3     # per-queue completions before speculating
+
+    def __post_init__(self) -> None:
+        if self.slowdown < 1.0:
+            raise ValueError("speculation slowdown must be >= 1.0")
+        if not 0.0 < self.quantile <= 1.0:
+            raise ValueError("speculation quantile must be in (0, 1]")
+        if self.min_samples < 1:
+            raise ValueError("speculation min_samples must be >= 1")
+
+    def to_dict(self) -> dict:
+        return {
+            "enabled": self.enabled,
+            "slowdown": self.slowdown,
+            "quantile": self.quantile,
+            "min_samples": self.min_samples,
+        }
+
+    @classmethod
+    def from_dict(cls, data: dict) -> "SpeculationConfig":
+        return cls(
+            enabled=bool(data.get("enabled", False)),
+            slowdown=float(data.get("slowdown", 1.5)),
+            quantile=float(data.get("quantile", 0.5)),
+            min_samples=int(data.get("min_samples", 3)),
+        )
+
+
+@dataclass(frozen=True)
+class JobRequest:
+    """One job submission: who wants what, and when.
+
+    ``deadline`` (seconds after arrival, None = none) arms the cluster
+    manager's deadline-aware admission: it sheds the job up front if
+    the cost model predicts it cannot finish in time.
+    """
+
+    job: Job
+    tenant: str
+    arrival: float
+    request_id: int = 0
+    kind: str = ""  # workload class label (crawl_scan / analytics / ...)
+    deadline: Optional[float] = None
+
+
+def percentile(sample: Sequence[float], p: float) -> float:
+    """Nearest-rank percentile (p in [0, 100]) of an unsorted sample."""
+    if not sample:
+        return 0.0
+    ordered = sorted(sample)
+    if p <= 0:
+        return ordered[0]
+    rank = max(1, -(-len(ordered) * p // 100))  # ceil without floats
+    return ordered[min(len(ordered), int(rank)) - 1]
+
+
+def estimate_pair_size(key, value) -> int:
+    """Approximate serialized size of a shuffled (key, value) pair."""
+    return _sizeof(key) + _sizeof(value) + 2
+
+
+def _sizeof(obj) -> int:
+    if obj is None:
+        return 1
+    if isinstance(obj, bool):
+        return 1
+    if isinstance(obj, int):
+        return 5
+    if isinstance(obj, float):
+        return 8
+    if isinstance(obj, str):
+        return len(obj) + 2
+    if isinstance(obj, (bytes, bytearray)):
+        return len(obj) + 2
+    if isinstance(obj, (list, tuple, set, frozenset)):
+        return 4 + sum(_sizeof(x) for x in obj)
+    if isinstance(obj, dict):
+        return 4 + sum(_sizeof(k) + _sizeof(v) for k, v in obj.items())
+    return 16
+
+
 @dataclass
 class _Pending:
     """A split waiting to run (first time or retry)."""
@@ -82,269 +209,778 @@ class _Pending:
     banned: FrozenSet[int] = field(default_factory=frozenset)
 
 
-class _MapScheduler:
-    """Internal state machine behind :func:`schedule_map_tasks`."""
+@dataclass
+class _Running:
+    """One in-flight map attempt on a slot."""
+
+    execution: "_Execution"
+    pending: _Pending
+    task: ScheduledTask
+    node: int
+    slot: int
+    seq: int = 0
+    payload: object = None
+    alive: bool = True      # False once preempted / node died / killed
+    speculative: bool = False
+    partner_seq: Optional[int] = None  # the other attempt in a race
+
+
+class _Execution:
+    """Mutable per-job state while a job is on the cluster.
+
+    ``state`` walks ``mapping -> shuffling -> finished``; a node death
+    that destroys committed map output reverts ``shuffling`` back to
+    ``mapping`` (the shuffle aborts) until the lost splits re-run.
+    """
 
     def __init__(
         self,
-        splits: Sequence[InputSplit],
-        num_nodes: int,
-        slots_per_node: int,
-        execute: Callable[[InputSplit, int], Metrics],
-        obs: Observability,
-        max_attempts: int,
-        faults,
-        node_usable: Optional[Callable[[int], bool]],
-        blacklist_after: int,
-        retry_backoff: BackoffLike,
+        request: JobRequest,
+        queue: str,
+        splits: List[InputSplit],
+        execute: Execute,
+        eid: int,
     ) -> None:
+        self.request = request
+        self.job: Job = request.job
+        self.tenant = request.tenant
+        self.queue = queue
         self.splits = splits
         self.execute = execute
-        self.obs = obs
-        self.max_attempts = max(1, max_attempts)
-        self.faults = faults
-        self.node_usable = node_usable
-        self.blacklist_after = blacklist_after
-        self.retry_backoff = resolve_backoff(retry_backoff)
+        self.eid = eid
         self.pending: List[_Pending] = [
             _Pending(i, 0) for i in range(len(splits))
         ]
-        self.slots = [
-            (0.0, node, slot)
-            for node in range(num_nodes)
-            for slot in range(slots_per_node)
-        ]
-        heapq.heapify(self.slots)
-        self._had_slots = bool(self.slots)
-        self.tasks: List[ScheduledTask] = []
         self.attempts_used = [0] * len(splits)
-        self.node_failures: dict = {}
-        self.blacklist: set = set()
-        self.history: List[dict] = []
+        #: committed payload and winning attempt of each split; the
+        #: winner's node holds the split's spilled map output
+        self.payloads: Dict[int, object] = {}
+        self.winners: Dict[int, ScheduledTask] = {}
+        self.tasks: List[ScheduledTask] = []
+        self.running = 0
+        self.started = False
+        self.start = 0.0
+        self.preemptions = 0
+        self.failed: Optional[str] = None
+        self.state = "mapping"
+        self.map_end = 0.0
+        self.shuffle_gen = 0  # bumped on every start/abort; stales heap entries
+        #: split indices that already have (or had) a speculative clone
+        self.speculated: Set[int] = set()
+        self.node_failures: Dict[int, int] = {}
+        self.blacklist: Set[int] = set()
 
-    # -- liveness -------------------------------------------------------
+    def done(self) -> bool:
+        return (
+            self.failed is None
+            and not self.pending
+            and self.running == 0
+            and len(self.payloads) == len(self.splits)
+        )
 
-    def usable(self, node: int) -> bool:
-        if node in self.blacklist:
-            return False
-        if self.node_usable is not None and not self.node_usable(node):
-            return False
-        return True
+    def unfinished(self) -> bool:
+        return self.failed is None and self.state != "finished"
 
-    def _remove_slots(self, node: int) -> None:
-        self.slots = [s for s in self.slots if s[1] != node]
-        heapq.heapify(self.slots)
+    def ready(self, now: float) -> List[_Pending]:
+        if self.failed is not None:
+            return []
+        return [p for p in self.pending if p.ready <= now]
 
-    # -- fault plumbing -------------------------------------------------
 
-    def _handle_faults(self, now: float) -> None:
+class SlotScheduler:
+    """The event loop arbitrating one cluster's map slots.
+
+    ``faults`` is an optional :class:`~repro.faults.FaultInjector`
+    driven by the timeline.  ``max_attempts`` (when set) overrides every
+    job's own.  ``wal`` is an optional journal with an ``append(kind,
+    **fields)`` method that records every scheduling decision.
+    """
+
+    def __init__(
+        self,
+        fs: FileSystem,
+        obs: Optional[Observability] = None,
+        faults=None,
+        speculation: Optional[SpeculationConfig] = None,
+        backoff: Optional[BackoffConfig] = None,
+        max_attempts: Optional[int] = None,
+        wal=None,
+    ) -> None:
+        self.fs = fs
+        self.obs = obs if obs is not None else current_obs()
+        self.faults = faults
+        self.speculation = speculation or SpeculationConfig()
+        backoff = backoff or BackoffConfig()
+        if backoff.seed == 0:
+            backoff = replace(backoff, seed=fs.cluster.seed)
+        self.retry_backoff = ExponentialBackoff(backoff)
+        self.max_attempts = max_attempts
+        self.wal = wal
+
+        cluster = fs.cluster
+        # Nodes the filesystem already reports dead or decommissioned
+        # never offer a slot.
+        self.free: List[Tuple[int, int]] = [
+            (node, slot)
+            for node in range(cluster.num_nodes)
+            if fs.is_node_live(node)
+            for slot in range(cluster.map_slots_per_node)
+        ]
+        self.total_slots = len(self.free)
+        self.dead_nodes: set = set()
+        self.running: Dict[int, _Running] = {}
+        self._completions: List[Tuple[float, int]] = []
+        self._shuffles: List[Tuple[float, int, int]] = []  # (end, eid, gen)
+        self._attempt_seq = 0
+        self.executions: List[_Execution] = []
+        #: per-queue successful attempt durations (speculation samples)
+        self._durations: Dict[str, List[float]] = {}
+        self.busy_slot_seconds = 0.0
+        self.map_output_losses = 0
+        self.speculative_attempts = 0
+        self.horizon = 0.0
+        self.now = 0.0
+
+    def _wal_append(self, kind: str, /, **fields) -> None:
+        if self.wal is not None:
+            self.wal.append(kind, **fields)
+
+    # -- requests -------------------------------------------------------
+
+    def submit(
+        self,
+        request: JobRequest,
+        splits: List[InputSplit],
+        execute: Execute,
+        queue: str = "default",
+    ) -> _Execution:
+        """Put a request's splits on the cluster at the current instant."""
+        execution = _Execution(
+            request, queue, splits, execute, len(self.executions)
+        )
+        self.executions.append(execution)
+        return execution
+
+    def run_alone(
+        self, job: Job, splits: List[InputSplit], execute: Execute
+    ) -> _Execution:
+        """Run ``job`` as the cluster's only request — FIFO with one
+        tenant — through its shuffle window; raises
+        :class:`JobFailedError` if it cannot finish."""
+        execution = self.submit(
+            JobRequest(job, "default", 0.0), splits, execute
+        )
+        if not self.fs.cluster.total_map_slots:
+            return execution  # a cluster without map slots runs nothing
+        self._loop()
+        if execution.failed is not None:
+            raise JobFailedError(execution.failed, [
+                {"split": t.split.label, "node": t.node,
+                 "attempt": t.attempt, "start": t.start, "error": t.error}
+                for t in execution.tasks
+                if t.failed
+            ])
+        return execution
+
+    # -- the event loop -------------------------------------------------
+
+    def _loop(self) -> None:
+        while True:
+            # Everything due at the current instant, in causal order:
+            # completed shuffles commit (their data is safely across the
+            # network), faults fire, finished attempts release their
+            # slots, new jobs arrive, then the freed/idle slots are
+            # assigned.
+            self._drain_shuffles(self.now)
+            self._fire_faults(self.now)
+            self._drain_completions(self.now)
+            self._arrive(self.now)
+            self._assign(self.now)
+
+            # Advance to the next event.  Assignment executes attempts
+            # eagerly, so completions scheduled for this same instant
+            # (zero-length attempts) re-run the loop without moving.
+            self._prune_completions()
+            self._prune_shuffles()
+            future = self._future_events()
+            if not future:
+                if self._lift_bans():
+                    continue
+                # Work left with nowhere to run and no event that could
+                # change that: every slot died under it.
+                self._strand()
+                break
+            self.now = max(self.now, min(future))
+            self.horizon = max(self.horizon, self.now)
+
+    def _future_events(self) -> List[float]:
+        future = []
+        arrival = self._next_arrival()
+        if arrival is not None:
+            future.append(arrival)
+        if self._completions:
+            future.append(self._completions[0][0])
+        if self._shuffles:
+            future.append(self._shuffles[0][0])
+        for execution in self.executions:
+            if execution.failed is not None:
+                continue
+            for p in execution.pending:
+                if p.ready > self.now:
+                    future.append(p.ready)
+        if self.speculation.enabled and self.free:
+            wake = self._next_speculation_time()
+            if wake is not None and wake > self.now:
+                future.append(wake)
+        if self.faults is not None and (
+            arrival is not None
+            or any(e.unfinished() for e in self.executions)
+        ):
+            # While work is outstanding, faults are timeline events of
+            # their own: they must land at their exact instants —
+            # through the shuffle window included — not at whatever
+            # scheduling boundary follows.
+            next_fault = self.faults.next_time()
+            if next_fault is not None:
+                future.append(next_fault)
+        return future
+
+    def _lift_bans(self) -> bool:
+        """Nothing left could free a slot: a node a retry is banned
+        from beats a deadlocked job.  True if any ban was lifted."""
+        lifted = False
+        if self.free:
+            for execution in self.executions:
+                for pending in execution.ready(self.now):
+                    if pending.banned:
+                        pending.banned = frozenset()
+                        lifted = True
+        return lifted
+
+    # -- hooks the cluster manager fills in ------------------------------
+
+    def _arrive(self, now: float) -> None:
+        """Admit the requests due at ``now``."""
+
+    def _next_arrival(self) -> Optional[float]:
+        return None
+
+    def _dispatched(self, execution: _Execution, now: float) -> None:
+        """The job's first attempt just launched."""
+
+    def _at_quota(self, execution: _Execution) -> bool:
+        """May the job not take another slot right now?"""
+        return False
+
+    def _finalize(self, execution: _Execution, map_end: float) -> None:
+        """Shuffle complete: the job's map outputs are durable."""
+        execution.state = "finished"
+
+    def _fail_job(
+        self, execution: _Execution, error: str, now: float
+    ) -> None:
+        execution.failed = error
+        execution.pending.clear()
+
+    def _strand(self) -> None:
+        for execution in self.executions:
+            if execution.failed is None and not execution.done():
+                unfinished = len(execution.splits) - len(execution.payloads)
+                self._fail_job(
+                    execution,
+                    "no live map slots remain "
+                    f"({unfinished} splits unfinished)",
+                    self.now,
+                )
+
+    # -- faults / node loss --------------------------------------------
+
+    def _fire_faults(self, now: Optional[float] = None) -> None:
+        """Apply the faults due by ``now`` — or, without it, those the
+        injector has already fired."""
         if self.faults is None:
             return
+        if now is not None:
+            self.faults.advance_time(now)
         for node, died_at in self.faults.drain_dead():
             self._node_lost(node, died_at)
         for node in self.faults.drain_retired():
-            self._remove_slots(node)
+            self._retire_node(node)
 
-    def _fire_time(self, now: float) -> None:
+    def _boundary_kills(self, node: int) -> bool:
+        """An attempt is about to start: fire the task-boundary faults.
+        True if they took ``node`` out."""
         if self.faults is None:
-            return
-        self.faults.advance_time(now)
-        self._handle_faults(now)
+            return False
+        self.faults.on_task_start()
+        self._fire_faults()
+        return node in self.dead_nodes or self.faults.is_dead(node)
 
-    def _node_lost(self, node: int, now: float) -> None:
-        """A datanode died at ``now``: drop its slots and fail every
-        attempt still running on it (their work so far is wasted)."""
-        self._remove_slots(node)
-        self.obs.emit("node.lost", sim_time=now, node=node)
-        for task in self.tasks:
-            if (
-                task.node == node
-                and task.produced_output
-                and task.end > now
-            ):
-                task.failed = True
-                task.error = "node died"
-                task.duration = max(0.0, now - task.start)
+    def _retire_node(self, node: int) -> None:
+        self.dead_nodes.add(node)
+        self.free = [(n, s) for n, s in self.free if n != node]
+
+    def _node_lost(self, node: int, died_at: float) -> None:
+        self._retire_node(node)
+        self.obs.emit("node.lost", sim_time=died_at, node=node)
+        self._wal_append("node_lost", t=died_at, node=node)
+        for running in list(self.running.values()):
+            if not running.alive or running.node != node:
+                continue
+            self._truncate(running, died_at, "node died")
+            execution = running.execution
+            self.obs.registry.counter(
+                "task.attempts", outcome="node_lost"
+            ).inc()
+            split_label = execution.splits[running.pending.index].label
+            self.obs.emit(
+                "task.finish", sim_time=died_at, kind="map",
+                split=split_label,
+                node=node, slot=running.slot,
+                attempt=running.pending.attempt, outcome="lost",
+                error="node died", duration=running.task.duration,
+                job=execution.job.name, tenant=execution.tenant,
+                speculative=running.speculative,
+            )
+            self._wal_append(
+                "complete", t=died_at, job=execution.job.name,
+                split=split_label, node=node, outcome="lost",
+            )
+            self._retry(running, died_at, "node died")
+        self._invalidate_outputs(node, died_at)
+
+    def _invalidate_outputs(self, node: int, died_at: float) -> None:
+        """Durable-output bookkeeping: a dead node takes every spilled
+        map output it held.  Jobs whose shuffle has not completed lose
+        those splits and re-run them (no retry budget consumed — output
+        loss is not the task's failure); an in-flight shuffle aborts."""
+        for execution in self.executions:
+            if not execution.unfinished():
+                continue
+            lost = sorted(
+                index
+                for index, winner in execution.winners.items()
+                if winner.node == node
+            )
+            if not lost:
+                continue
+            if execution.state == "shuffling":
+                execution.state = "mapping"
+                execution.shuffle_gen += 1
+                self.obs.emit(
+                    "shuffle.abort", sim_time=died_at,
+                    job=execution.job.name, tenant=execution.tenant,
+                    node=node, lost_splits=len(lost),
+                )
+                self._wal_append(
+                    "shuffle_abort", t=died_at, job=execution.job.name,
+                    node=node,
+                )
+            for index in lost:
+                del execution.payloads[index]
+                del execution.winners[index]
+                self.map_output_losses += 1
+                split_label = execution.splits[index].label
                 self.obs.registry.counter(
-                    "task.attempts", outcome="node_lost"
+                    "cluster.mapoutput.lost"
                 ).inc()
-                self.history.append({
-                    "split": task.split.label,
-                    "node": node,
-                    "attempt": task.attempt,
-                    "start": task.start,
-                    "error": "node died",
-                })
-                if task.speculative:
-                    continue  # the original attempt is still running
+                self.obs.emit(
+                    "mapoutput.lost", sim_time=died_at,
+                    split=split_label, node=node,
+                    job=execution.job.name, tenant=execution.tenant,
+                )
+                self._wal_append(
+                    "output_lost", t=died_at, job=execution.job.name,
+                    split=split_label, node=node,
+                )
                 self._requeue(
-                    task.split_index, now, frozenset({node}), "node died"
+                    execution,
+                    _Pending(
+                        index, execution.attempts_used[index], died_at,
+                    ),
+                    died_at, frozenset({node}), "map output lost",
+                    consume_attempt=False,
                 )
 
-    # -- retry bookkeeping ----------------------------------------------
+    # -- attempt lifecycle ---------------------------------------------
+
+    def _truncate(
+        self, running: _Running, at: float, error: str
+    ) -> None:
+        """Stop a live attempt at ``at``; its work so far is wasted."""
+        task = running.task
+        task.failed = True
+        task.error = error
+        task.duration = max(0.0, at - task.start)
+        self._release(running)
+
+    def _release(self, running: _Running) -> None:
+        """An attempt stopped: account its slot time and return the
+        slot to the pool, unless the slot's node died."""
+        running.alive = False
+        running.execution.running -= 1
+        self.busy_slot_seconds += running.task.duration
+        if running.node not in self.dead_nodes:
+            self.free.append((running.node, running.slot))
+
+    def _live_partner(self, running: _Running) -> Optional[_Running]:
+        """The other attempt racing this one, if it is still alive."""
+        if running.partner_seq is None:
+            return None
+        partner = self.running.get(running.partner_seq)
+        if partner is not None and partner.alive:
+            return partner
+        return None
+
+    def _retry(self, running: _Running, at: float, error: str) -> None:
+        """A live attempt died: re-queue its split away from its node —
+        unless the attempt racing it still covers the split, in which
+        case losing one contender costs nothing further."""
+        execution = running.execution
+        if self._live_partner(running) is not None:
+            if running.speculative:
+                execution.speculated.discard(running.pending.index)
+            return
+        self._requeue(
+            execution, running.pending, at, frozenset({running.node}),
+            error, consume_attempt=not running.speculative,
+        )
 
     def _requeue(
-        self, index: int, now: float, banned: FrozenSet[int], error: str
+        self,
+        execution: _Execution,
+        pending: _Pending,
+        now: float,
+        banned: frozenset,
+        error: str,
+        consume_attempt: bool,
     ) -> None:
-        if self.attempts_used[index] >= self.max_attempts:
-            raise JobFailedError(
-                f"split {self.splits[index].label or index} failed "
-                f"{self.attempts_used[index]} of {self.max_attempts} "
+        index = pending.index
+        label = execution.splits[index].label or str(index)
+        if not consume_attempt:
+            # A preempted attempt (or a lost map output) is the
+            # scheduler's fault, not the task's: give the attempt back
+            # so eviction can never starve a job into failed-job
+            # territory.
+            execution.attempts_used[index] -= 1
+        used = execution.attempts_used[index]
+        limit = max(
+            1,
+            self.max_attempts
+            if self.max_attempts is not None
+            else execution.job.max_attempts,
+        )
+        if used >= limit:
+            self._fail_job(
+                execution,
+                f"split {label} failed {used} of {limit} "
                 f"allowed attempts (last error: {error})",
-                self.history,
+                now,
             )
-        attempt = self.attempts_used[index]
-        label = self.splits[index].label or str(index)
-        delay = self.retry_backoff.delay(label, max(0, attempt - 1))
-        if delay > 0:
-            self.obs.emit(
-                "retry.backoff", sim_time=now,
-                split=label, attempt=attempt, delay=delay,
-                ready=now + delay,
+            return
+        delay = 0.0
+        if consume_attempt:
+            # A genuine failure backs off before relaunching — seeded
+            # exponential delay with jitter so simultaneous failures
+            # spread out instead of re-colliding.
+            delay = self.retry_backoff.delay(
+                f"{execution.job.name}:{label}", max(0, used - 1)
             )
-        self.pending.append(_Pending(index, attempt, now + delay, banned))
+            if delay > 0:
+                self.obs.emit(
+                    "retry.backoff", sim_time=now,
+                    job=execution.job.name, split=label,
+                    attempt=used, delay=delay, ready=now + delay,
+                )
+        execution.pending.append(
+            _Pending(index, used, now + delay, pending.banned | banned)
+        )
+        self._wal_append(
+            "requeue", t=now, job=execution.job.name, split=label,
+            ready=now + delay, attempt=used,
+        )
 
-    def _note_node_failure(self, node: int) -> bool:
-        """Count a failed attempt against ``node``; True if the node was
-        just blacklisted (its freed slot must not return to the pool)."""
-        self.node_failures[node] = self.node_failures.get(node, 0) + 1
-        if (
-            self.blacklist_after > 0
-            and self.node_failures[node] >= self.blacklist_after
-            and node not in self.blacklist
-        ):
-            self.blacklist.add(node)
+    def _note_node_failure(self, execution: _Execution, node: int) -> None:
+        """Count a failed attempt against ``node``; blacklist the node
+        for this job once it has failed :data:`BLACKLIST_AFTER`."""
+        failures = execution.node_failures.get(node, 0) + 1
+        execution.node_failures[node] = failures
+        if failures >= BLACKLIST_AFTER and node not in execution.blacklist:
+            execution.blacklist.add(node)
             self.obs.registry.counter(
                 "scheduler.blacklisted", node=node
             ).inc()
             self.obs.emit(
-                "node.blacklisted", node=node,
-                failures=self.node_failures[node],
+                "node.blacklisted", node=node, failures=failures,
+                job=execution.job.name,
             )
-            self._remove_slots(node)
-            return True
-        return False
 
-    # -- the event loop --------------------------------------------------
+    # -- completions ----------------------------------------------------
 
-    def run(self) -> List[ScheduledTask]:
-        while True:
-            self._drain_pending()
-            if not self.pending:
-                # The last assignment happened; fire remaining timed
-                # faults up to the makespan — a node can still die while
-                # assigned tasks are "running", failing them retroactively
-                # and refilling the pending queue.
-                self._fire_time(makespan(self.tasks))
-                if not self.pending:
-                    return self.tasks
+    def _prune_completions(self) -> None:
+        """Drop stale heap tops (attempts preempted / killed with
+        their node) so they never masquerade as future events."""
+        while self._completions:
+            _, seq = self._completions[0]
+            running = self.running.get(seq)
+            if running is not None and running.alive:
+                return
+            heapq.heappop(self._completions)
+            self.running.pop(seq, None)
 
-    def _drain_pending(self) -> None:
-        while self.pending:
-            if not self.slots:
-                if not self._had_slots:
-                    # Degenerate cluster (zero slots configured): run
-                    # nothing, matching pre-fault-tolerance behaviour.
-                    self.pending.clear()
-                    return
-                raise JobFailedError(
-                    "no live map slots remain "
-                    f"({len(self.pending)} splits unfinished)",
-                    self.history,
+    def _drain_completions(self, upto: float) -> None:
+        while self._completions and self._completions[0][0] <= upto:
+            end, seq = heapq.heappop(self._completions)
+            running = self.running.pop(seq, None)
+            if running is None or not running.alive:
+                continue  # preempted or killed with the node
+            self._release(running)
+            execution = running.execution
+            outcome = "failed" if running.task.failed else "ok"
+            self.obs.registry.counter(
+                "task.attempts", outcome=outcome
+            ).inc()
+            split_label = execution.splits[running.pending.index].label
+            finish_attrs = dict(
+                kind="map",
+                split=split_label,
+                node=running.node, slot=running.slot,
+                attempt=running.pending.attempt, outcome=outcome,
+                duration=running.task.duration,
+                job=execution.job.name, tenant=execution.tenant,
+            )
+            if running.speculative:
+                finish_attrs["speculative"] = True
+            if running.task.failed:
+                finish_attrs["error"] = running.task.error
+            self.obs.emit("task.finish", sim_time=end, **finish_attrs)
+            self._wal_append(
+                "complete", t=end, job=execution.job.name,
+                split=split_label, node=running.node, outcome=outcome,
+            )
+            if running.task.failed:
+                self._note_node_failure(execution, running.node)
+                if running.speculative:
+                    self.obs.registry.counter(
+                        "scheduler.speculation", outcome="failed"
+                    ).inc()
+                self._retry(running, end, running.task.error or "fault")
+            else:
+                execution.payloads[running.pending.index] = running.payload
+                execution.winners[running.pending.index] = running.task
+                self._durations.setdefault(
+                    execution.queue, []
+                ).append(running.task.duration)
+                partner = self._live_partner(running)
+                if partner is not None:
+                    self._lose_race(partner, end, winner=running)
+            if execution.done():
+                self._start_shuffle(execution, end)
+
+    def _lose_race(
+        self, loser: _Running, end: float, winner: _Running
+    ) -> None:
+        """First finisher wins: the moment the winner's payload commits,
+        the racing attempt is killed (not failed — no budget, no
+        requeue) and its slot returns to the pool."""
+        task = loser.task
+        saved = max(0.0, task.end - end)
+        task.killed = True
+        task.duration = max(0.0, end - task.start)
+        self._release(loser)
+        execution = loser.execution
+        outcome = "won" if winner.speculative else "lost"
+        self.obs.registry.counter("task.attempts", outcome="killed").inc()
+        self.obs.registry.counter(
+            "scheduler.speculation", outcome=outcome
+        ).inc()
+        split_label = execution.splits[loser.pending.index].label
+        self.obs.emit(
+            "task.finish", sim_time=end, kind="map",
+            split=split_label, node=loser.node, slot=loser.slot,
+            attempt=loser.pending.attempt, outcome="killed",
+            duration=task.duration, job=execution.job.name,
+            tenant=execution.tenant, speculative=loser.speculative,
+        )
+        self.obs.emit(
+            "scheduler.speculation", sim_time=end,
+            split=split_label, job=execution.job.name,
+            tenant=execution.tenant, outcome=outcome,
+            winner_node=winner.node, loser_node=loser.node,
+            saved=saved,
+        )
+        self._wal_append(
+            "complete", t=end, job=execution.job.name,
+            split=split_label, node=loser.node, outcome="killed",
+        )
+
+    # -- shuffle window -------------------------------------------------
+
+    def _shuffle_window(self, execution: _Execution) -> float:
+        """How long the job's map outputs stay vulnerable after the last
+        map finishes: the time the largest reduce partition takes to
+        cross the network.  Each reduce task charges at least its own
+        partition's shuffle time, so this is a lower bound on the reduce
+        makespan — the fault-free timeline is unchanged."""
+        job = execution.job
+        if job.is_map_only or job.num_reducers <= 0:
+            return 0.0
+        rate = self.fs.cluster.network.shuffle_bytes_per_sec
+        if rate <= 0:
+            return 0.0
+        partitions = max(job.num_reducers, 1)
+        per_partition = [0] * partitions
+        for payload, _counters in execution.payloads.values():
+            for index, partition in enumerate(payload):
+                per_partition[index] += sum(
+                    estimate_pair_size(key, value)
+                    for key, value in partition
                 )
-            now = self.slots[0][0]
-            self._fire_time(now)
-            if not self.slots or self.slots[0][0] != now:
-                continue
-            # Take every slot freeing at the same instant as one batch
-            # (at t=0 that is the whole cluster) and match data-local
-            # pairs first — the effect Hadoop gets from per-node task
-            # lists and delay scheduling.  Leftover slots then run
-            # non-local tasks.
-            batch = []
-            while self.slots and self.slots[0][0] == now:
-                _, node, slot = heapq.heappop(self.slots)
-                if self.usable(node):
-                    batch.append((node, slot))
-            if not batch:
-                continue
-            if not any(p.ready <= now for p in self.pending):
-                # Every queued attempt is backing off; idle this batch
-                # until the earliest one becomes ready.
-                ready_at = min(p.ready for p in self.pending)
-                for node, slot in batch:
-                    heapq.heappush(self.slots, (ready_at, node, slot))
-                continue
-            spare = []
-            for node, slot in batch:
-                chosen = self._pick(node, now, local_only=True)
-                if chosen is None:
-                    spare.append((node, slot))
-                else:
-                    self._launch(now, node, slot, chosen, True)
-            leftover = []
-            for node, slot in spare:
-                if not self.pending:
-                    break
-                chosen = self._pick(node, now, local_only=False)
-                if chosen is None:
-                    leftover.append((node, slot))
-                    continue
-                local = node in self.splits[chosen.index].locations
-                self._launch(now, node, slot, chosen, local)
-            # Leftover slots found only retries banned from their node
-            # (or attempts still backing off).  Idle them until the next
-            # event so the retry can re-place on a different node — but
-            # if these are the last slots standing, a banned node beats
-            # a deadlocked job.
-            for node, slot in leftover:
-                if not self.pending:
-                    break
-                if self.slots:
-                    heapq.heappush(
-                        self.slots, (self.slots[0][0], node, slot)
-                    )
-                    continue
-                chosen = self._pick(
-                    node, now, local_only=False, allow_banned=True
-                )
-                if chosen is not None:
-                    local = node in self.splits[chosen.index].locations
-                    self._launch(now, node, slot, chosen, local)
+        return max(per_partition) / rate
 
-    def _pick(
-        self,
-        node: int,
-        now: float,
-        local_only: bool,
-        allow_banned: bool = False,
-    ) -> Optional[_Pending]:
-        for p in self.pending:
-            if p.ready > now:
+    def _start_shuffle(self, execution: _Execution, map_end: float) -> None:
+        """All splits committed: open the shuffle window.  The job's
+        output is durable only once the window closes; until then a node
+        death can claw back this job's map outputs."""
+        execution.map_end = map_end
+        window = self._shuffle_window(execution)
+        if window <= 0.0:
+            self._finalize(execution, map_end)
+            return
+        execution.state = "shuffling"
+        execution.shuffle_gen += 1
+        end = map_end + window
+        heapq.heappush(
+            self._shuffles, (end, execution.eid, execution.shuffle_gen)
+        )
+        self.obs.emit(
+            "shuffle.start", sim_time=map_end,
+            job=execution.job.name, tenant=execution.tenant,
+            window=window, end=end,
+            partitions=max(execution.job.num_reducers, 1),
+        )
+        self._wal_append(
+            "shuffle_start", t=map_end, job=execution.job.name, end=end,
+        )
+
+    def _prune_shuffles(self) -> None:
+        while self._shuffles:
+            _end, eid, gen = self._shuffles[0]
+            execution = self.executions[eid]
+            if (
+                execution.failed is None
+                and execution.state == "shuffling"
+                and execution.shuffle_gen == gen
+            ):
+                return
+            heapq.heappop(self._shuffles)
+
+    def _drain_shuffles(self, upto: float) -> None:
+        while self._shuffles and self._shuffles[0][0] <= upto:
+            end, eid, gen = heapq.heappop(self._shuffles)
+            execution = self.executions[eid]
+            if (
+                execution.failed is not None
+                or execution.state != "shuffling"
+                or execution.shuffle_gen != gen
+            ):
+                continue  # aborted (and possibly restarted) since
+            self.obs.emit(
+                "shuffle.finish", sim_time=end,
+                job=execution.job.name, tenant=execution.tenant,
+            )
+            self._finalize(execution, execution.map_end)
+
+    # -- assignment -----------------------------------------------------
+
+    def _assign(self, now: float) -> None:
+        """Place ready work on free slots, then clone stragglers."""
+        while self.free:
+            placement = self._select(now)
+            if placement is None:
+                break
+            self._launch(now, *placement)
+        if self.speculation.enabled and self.free:
+            self._speculate(now)
+
+    def _select(self, now: float):
+        """FIFO: the oldest job with a placeable split goes first."""
+        ordered = sorted(
+            (e for e in self.executions if e.ready(now)),
+            key=lambda e: (e.request.arrival, e.request.request_id),
+        )
+        for execution in ordered:
+            placed = self._place(execution, now)
+            if placed is not None:
+                return placed
+        return None
+
+    @staticmethod
+    def _first_slot(free, banned, locations=None):
+        """The first of the sorted ``free`` slots off every ``banned``
+        node — and, with ``locations``, on one of those nodes."""
+        for node, slot in free:
+            if node in banned:
                 continue
-            if local_only and node not in self.splits[p.index].locations:
-                continue
-            if not allow_banned and node in p.banned:
-                continue
-            return p
+            if locations is None or node in locations:
+                return node, slot
+        return None
+
+    def _place(self, execution: _Execution, now: float):
+        """Match one of the job's ready splits to a free slot,
+        data-local first."""
+        free = sorted(self.free)
+        ready = execution.ready(now)
+        for local in (True, False):
+            for pending in ready:
+                found = self._first_slot(
+                    free,
+                    pending.banned | execution.blacklist,
+                    execution.splits[pending.index].locations
+                    if local else None,
+                )
+                if found is not None:
+                    return (execution, pending, *found, local)
         return None
 
     def _launch(
-        self, now: float, node: int, slot: int, p: _Pending, local: bool
+        self,
+        now: float,
+        execution: _Execution,
+        pending: _Pending,
+        node: int,
+        slot: int,
+        local: bool,
     ) -> None:
-        self.pending.remove(p)
-        if self.faults is not None:
-            self.faults.on_task_start()
-            self._handle_faults(now)
-            if not self.usable(node) or (
-                self.faults is not None and self.faults.is_dead(node)
-            ):
-                # A task-boundary fault just took this node out; the
-                # attempt never started.
-                self.pending.append(p)
-                return
-        split = self.splits[p.index]
-        self.attempts_used[p.index] += 1
+        self.free.remove((node, slot))
+        execution.pending.remove(pending)
+        if self._boundary_kills(node):
+            # The slot died with its node; the attempt never started.
+            execution.pending.append(pending)
+            return
+        execution.attempts_used[pending.index] += 1
+        if not execution.started:
+            execution.started = True
+            execution.start = now
+            self._dispatched(execution, now)
+        self._execute_attempt(now, execution, pending, node, slot, local)
+
+    def _execute_attempt(
+        self,
+        now: float,
+        execution: _Execution,
+        pending: _Pending,
+        node: int,
+        slot: int,
+        local: bool,
+        speculative: bool = False,
+        partner_seq: Optional[int] = None,
+    ) -> _Running:
+        """Announce one attempt, run it eagerly and register its
+        completion event."""
+        job = execution.job
+        split = execution.splits[pending.index]
+        flag = {"speculative": True} if speculative else {}
         placement = "local" if local else "remote"
         self.obs.registry.counter(
             "scheduler.assignments", placement=placement
@@ -352,180 +988,179 @@ class _MapScheduler:
         self.obs.emit(
             "task.start", sim_time=now, kind="map",
             split=split.label, node=node, slot=slot,
-            attempt=p.attempt, placement=placement,
+            attempt=pending.attempt, placement=placement, **flag,
+            job=job.name, tenant=execution.tenant, queue=execution.queue,
         )
+        self._wal_append(
+            "launch", t=now, job=job.name, split=split.label,
+            node=node, slot=slot, attempt=pending.attempt, **flag,
+        )
+        faulted = False
+        payload = None
         try:
-            metrics = self.execute(split, node)
+            metrics, payload = execution.execute(split, node)
+            error = None
         except FaultError as exc:
             metrics = getattr(exc, "metrics", None) or Metrics()
-            duration = metrics.task_time
             error = str(exc) or type(exc).__name__
-            self.tasks.append(ScheduledTask(
-                split, node, now, duration, metrics, local,
-                attempt=p.attempt, failed=True, error=error,
-                split_index=p.index, slot=slot,
-            ))
-            self.obs.registry.counter(
-                "task.attempts", outcome="failed"
-            ).inc()
-            self.obs.emit(
-                "task.finish", sim_time=now + duration, kind="map",
-                split=split.label, node=node, slot=slot,
-                attempt=p.attempt, outcome="failed", error=error,
-                duration=duration,
-            )
-            self.history.append({
-                "split": split.label,
-                "node": node,
-                "attempt": p.attempt,
-                "start": now,
-                "error": error,
-            })
-            if not self._note_node_failure(node):
-                heapq.heappush(self.slots, (now + duration, node, slot))
-            self._requeue(
-                p.index, now + duration, p.banned | {node}, error
-            )
-            return
+            faulted = True
         duration = metrics.task_time
-        self.tasks.append(ScheduledTask(
+        task = ScheduledTask(
             split, node, now, duration, metrics, local,
-            attempt=p.attempt, split_index=p.index, slot=slot,
-        ))
-        self.obs.registry.counter("task.attempts", outcome="ok").inc()
-        self.obs.emit(
-            "task.finish", sim_time=now + duration, kind="map",
-            split=split.label, node=node, slot=slot,
-            attempt=p.attempt, outcome="ok", duration=duration,
+            attempt=pending.attempt, failed=faulted, error=error,
+            split_index=pending.index, slot=slot,
+            speculative=speculative,
         )
-        heapq.heappush(self.slots, (now + duration, node, slot))
-
-
-def schedule_map_tasks(
-    splits: Sequence[InputSplit],
-    num_nodes: int,
-    slots_per_node: int,
-    execute: Callable[[InputSplit, int], Metrics],
-    speculative: bool = False,
-    obs: Optional[Observability] = None,
-    max_attempts: int = 1,
-    faults=None,
-    node_usable: Optional[Callable[[int], bool]] = None,
-    blacklist_after: int = 3,
-    retry_backoff: BackoffLike = 0.0,
-) -> List[ScheduledTask]:
-    """Run every split on the simulated cluster; returns executed tasks.
-
-    ``execute(split, node)`` performs the task's real work and returns
-    its metrics; the task's simulated duration is ``metrics.task_time``.
-    An ``execute`` that raises a :class:`~repro.hdfs.errors.FaultError`
-    marks the attempt failed; the split is retried (total attempts
-    capped at ``max_attempts``) with the failing node banned for the
-    retry.  ``faults`` is an optional
-    :class:`~repro.faults.FaultInjector` driven by the event loop;
-    ``node_usable(node)`` filters slots (dead/decommissioned nodes).
-    Nodes failing ``blacklist_after`` attempts are blacklisted.
-    ``retry_backoff`` delays each retry: either a fixed number of
-    seconds or an :class:`~repro.mapreduce.backoff.ExponentialBackoff`
-    (seeded exponential delay with jitter; each applied delay emits a
-    ``retry.backoff`` event).
-
-    With ``speculative=True``, once no pending work remains, idle slots
-    launch duplicates of still-running *non-local* tasks on nodes that
-    hold their data (Hadoop's speculative execution); whichever attempt
-    finishes first wins and the loser is marked ``killed``.  Both
-    attempts' durations count — speculation trades cluster work for
-    wall-clock time, exactly as in Hadoop.
-    """
-    obs = obs if obs is not None else NULL_OBS
-    scheduler = _MapScheduler(
-        splits, num_nodes, slots_per_node, execute, obs,
-        max_attempts, faults, node_usable, blacklist_after, retry_backoff,
-    )
-    tasks = scheduler.run()
-    if speculative:
-        _speculate(
-            tasks, scheduler.slots, execute, obs, usable=scheduler.usable
+        execution.tasks.append(task)
+        execution.running += 1
+        # task.finish is deferred until the attempt actually resolves
+        # (drain / preemption / node loss): an attempt launched now may
+        # never reach its computed end.
+        self._attempt_seq += 1
+        running = _Running(
+            execution=execution,
+            pending=pending,
+            task=task,
+            node=node,
+            slot=slot,
+            seq=self._attempt_seq,
+            payload=payload,
+            speculative=speculative,
+            partner_seq=partner_seq,
         )
-    return tasks
+        self.running[self._attempt_seq] = running
+        heapq.heappush(
+            self._completions, (now + duration, self._attempt_seq)
+        )
+        return running
 
+    # -- speculation ----------------------------------------------------
 
-def _speculate(
-    tasks: List[ScheduledTask],
-    slots: List,
-    execute: Callable[[InputSplit, int], Metrics],
-    obs: Observability = NULL_OBS,
-    usable: Optional[Callable[[int], bool]] = None,
-) -> None:
-    """Duplicate slow non-local tasks onto idle data-local slots."""
-    speculated = set()
+    def _stragglers(self, now: Optional[float]):
+        """``(threshold, seq, attempt)`` for every running original
+        attempt that may be cloned; with ``now`` given, only those that
+        have crossed their threshold by then."""
+        cfg = self.speculation
+        found = []
+        for seq in sorted(self.running):
+            running = self.running[seq]
+            if not running.alive or running.speculative:
+                continue
+            if self._live_partner(running) is not None:
+                continue
+            execution = running.execution
+            if execution.failed is not None:
+                continue
+            if running.pending.index in execution.speculated:
+                continue
+            samples = self._durations.get(execution.queue, ())
+            if len(samples) < cfg.min_samples:
+                continue
+            typical = percentile(samples, cfg.quantile * 100)
+            if typical <= 0:
+                continue
+            # elapsed >= slowdown * typical, so the threshold-crossing
+            # wake-up itself qualifies
+            if now is not None and now - running.task.start < (
+                cfg.slowdown * typical
+            ):
+                continue
+            found.append((
+                running.task.start + cfg.slowdown * typical, seq, running,
+            ))
+        return found
 
-    def eligible(task: ScheduledTask, now: float) -> bool:
-        return (
-            task.end > now
-            and not task.data_local
-            and not task.speculative
-            and task.produced_output
-            and id(task.split) not in speculated
+    def _next_speculation_time(self) -> Optional[float]:
+        """Earliest instant a running attempt crosses the straggler
+        threshold.  Without this the event loop would only notice a
+        straggler at the next natural event — which in a quiet cluster
+        is the straggler's own completion, too late to help."""
+        return min(
+            (threshold for threshold, _, _ in self._stragglers(None)),
+            default=None,
         )
 
-    while slots:
-        now, node, slot = heapq.heappop(slots)
-        if usable is not None and not usable(node):
-            continue
-        candidates = [
-            t for t in tasks
-            if eligible(t, now)
-            and node in t.split.locations
-            and t.node != node
-        ]
-        if not candidates:
-            # No-progress check: once nothing running is even eligible
-            # (for any node), later-freeing slots cannot speculate
-            # either — stop instead of draining the slot heap.
-            if not any(eligible(t, now) for t in tasks):
+    def _speculate(self, now: float) -> None:
+        """Clone stragglers onto otherwise-idle slots.
+
+        Progress-based detection — the scheduler never peeks at an
+        attempt's predetermined end.  Worst straggler (longest running)
+        first; each clone is charged to the owning job's share, and
+        never consumes the original's retry budget.
+        """
+        stragglers = sorted(
+            self._stragglers(now),
+            key=lambda item: (-(now - item[2].task.start), item[1]),
+        )
+        for _threshold, _seq, original in stragglers:
+            if not self.free:
                 break
-            continue  # this slot has nothing useful to speculate on
-        victim = max(candidates, key=lambda t: t.end)
-        speculated.add(id(victim.split))
-        obs.emit(
-            "task.speculative", sim_time=now, split=victim.split.label,
-            node=node, slot=slot, victim_node=victim.node,
-        )
-        try:
-            metrics = execute(victim.split, node)
-        except FaultError as exc:
-            metrics = getattr(exc, "metrics", None) or Metrics()
-            duplicate = ScheduledTask(
-                victim.split, node, now, metrics.task_time, metrics,
-                data_local=True, speculative=True, failed=True,
-                error=str(exc) or type(exc).__name__,
-                split_index=victim.split_index, slot=slot,
+            if not original.alive:
+                continue
+            execution = original.execution
+            if self._at_quota(execution):
+                continue
+            banned = (
+                original.pending.banned
+                | frozenset({original.node})
+                | execution.blacklist
             )
-            tasks.append(duplicate)
-            obs.registry.counter(
-                "scheduler.speculation", outcome="failed"
-            ).inc()
-            continue  # the original keeps running; slot is dropped
-        duration = metrics.task_time
-        duplicate = ScheduledTask(
-            victim.split, node, now, duration, metrics,
-            data_local=True, speculative=True,
-            split_index=victim.split_index, slot=slot,
+            locations = execution.splits[original.pending.index].locations
+            free = sorted(self.free)
+            found = self._first_slot(free, banned, locations)
+            local = found is not None
+            if not local:
+                found = self._first_slot(free, banned)
+            if found is not None:
+                self._launch_speculative(now, original, *found, local)
+
+    def _launch_speculative(
+        self,
+        now: float,
+        original: _Running,
+        node: int,
+        slot: int,
+        local: bool,
+    ) -> None:
+        execution = original.execution
+        index = original.pending.index
+        self.free.remove((node, slot))
+        execution.speculated.add(index)
+        if self._boundary_kills(node):
+            # The slot died with its node; the clone never starts.
+            execution.speculated.discard(index)
+            return
+        if (
+            not original.alive
+            or execution.failed is not None
+            or index in execution.payloads
+        ):
+            # A boundary fault resolved the original (or the job);
+            # nothing left to race.
+            execution.speculated.discard(index)
+            self.free.append((node, slot))
+            return
+        pending = _Pending(
+            index, original.pending.attempt, now,
+            original.pending.banned | frozenset({original.node}),
         )
-        if duplicate.end < victim.end:
-            # The local duplicate wins; the original is killed the
-            # moment the duplicate commits.
-            victim.duration = duplicate.end - victim.start
-            victim.killed = True
-            obs.registry.counter("scheduler.speculation", outcome="won").inc()
-        else:
-            # The original finishes first; the duplicate dies with it.
-            duplicate.duration = max(0.0, victim.end - now)
-            duplicate.killed = True
-            obs.registry.counter("scheduler.speculation", outcome="lost").inc()
-        tasks.append(duplicate)
-        heapq.heappush(slots, (duplicate.end, node, slot))
+        self.speculative_attempts += 1
+        self.obs.registry.counter(
+            "scheduler.speculation", outcome="launched"
+        ).inc()
+        self.obs.emit(
+            "task.speculative", sim_time=now,
+            split=execution.splits[index].label,
+            node=node, slot=slot, victim_node=original.node,
+            elapsed=now - original.task.start,
+            job=execution.job.name, tenant=execution.tenant,
+            queue=execution.queue,
+        )
+        duplicate = self._execute_attempt(
+            now, execution, pending, node, slot, local,
+            speculative=True, partner_seq=original.seq,
+        )
+        original.partner_seq = duplicate.seq
 
 
 def makespan(tasks: Sequence[ScheduledTask]) -> float:

@@ -7,7 +7,10 @@ import random
 import pytest
 
 from repro.hdfs import ClusterConfig, FileSystem
+from repro.mapreduce.job import Job
+from repro.mapreduce.scheduler import SlotScheduler, SpeculationConfig
 from repro.mapreduce.types import TaskContext
+from repro.obs import NULL_OBS
 from repro.serde.record import Record
 from repro.serde.schema import Schema
 from repro.sim.cost import CpuCostModel
@@ -29,6 +32,34 @@ def ctx():
 
 def make_ctx() -> TaskContext:
     return TaskContext(node=None, cost=CpuCostModel(), io_buffer_size=4096)
+
+
+def run_splits(
+    splits,
+    num_nodes,
+    slots_per_node,
+    execute,
+    speculative=False,
+    max_attempts=1,
+    obs=None,
+):
+    """Run synthetic splits as one request on an idle cluster.
+
+    ``execute(split, node)`` returns the attempt's metrics (or raises a
+    ``FaultError``); returns every executed attempt.
+    """
+    fs = FileSystem(
+        ClusterConfig(num_nodes=num_nodes, map_slots_per_node=slots_per_node)
+    )
+    scheduler = SlotScheduler(
+        fs, obs if obs is not None else NULL_OBS,
+        speculation=SpeculationConfig(enabled=speculative),
+    )
+    job = Job("synthetic", None, None, max_attempts=max_attempts)
+    execution = scheduler.run_alone(
+        job, splits, lambda split, node: (execute(split, node), None)
+    )
+    return execution.tasks
 
 
 def micro_schema() -> Schema:

@@ -20,10 +20,15 @@ from repro.cluster import (
     percentile,
     sample_profile,
 )
+from repro.formats.sequence_file import (
+    SequenceFileInputFormat,
+    write_sequence_file,
+)
 from repro.hdfs import ClusterConfig, FileSystem
 from repro.mapreduce import Job, run_job
 from repro.mapreduce.output import CollectOutputFormat
 from repro.mapreduce.types import InputFormat, InputSplit, ListRecordReader
+from repro.workloads.crawl import crawl_records, crawl_schema
 
 
 def small_fs(nodes: int = 2, slots: int = 2) -> FileSystem:
@@ -139,6 +144,38 @@ class TestSingleJobEquivalence:
         ])
         outcome = report.completed[0]
         assert outcome.map_makespan == pytest.approx(0.05, rel=0.2)
+
+
+    def test_nodes_dead_before_the_run_offer_no_slots(self):
+        # A node the filesystem already reports dead must not receive
+        # map attempts on the multi-tenant path either.
+        def build():
+            fs = FileSystem(ClusterConfig(
+                num_nodes=4, map_slots_per_node=2,
+                block_size=64 * 1024, io_buffer_size=4096,
+            ))
+            write_sequence_file(
+                fs, "/crawl", crawl_schema(), crawl_records(300)
+            )
+            fs.crash_node(0)
+            return fs
+
+        def job():
+            def mapper(key, record, emit, ctx):
+                emit(record.get("url")[:12], 1)
+
+            return Job("scan", mapper, SequenceFileInputFormat("/crawl"))
+
+        standalone = run_job(build(), job())
+        manager = ClusterManager(
+            build(), fifo_variant(one_queue_policy())
+        )
+        report = manager.run([JobRequest(job(), "t", 0.0)])
+        tasks = manager.executions[0].tasks
+        assert report.outcomes[0].status == "completed"
+        assert {t.node for t in tasks} == {1, 2, 3}
+        assert not any(t.failed for t in tasks)
+        assert len(tasks) == len(standalone.tasks)
 
 
 class TestAdmissionControl:

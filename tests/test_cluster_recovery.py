@@ -150,7 +150,10 @@ class TestMapOutputLoss:
         map_end = shuffle_start["sim"]
         shuffle_end = shuffle_start["attrs"]["end"]
         assert shuffle_end > map_end
-        holders = baseline.executions[0].payload_nodes
+        holders = {
+            index: winner.node
+            for index, winner in baseline.executions[0].winners.items()
+        }
         victim = max(
             set(holders.values()),
             key=lambda n: (sum(1 for h in holders.values() if h == n), n),
@@ -206,7 +209,10 @@ class TestMapOutputLoss:
             shuffle_job(name), small_fs(seed=seed)
         )
         shuffle_start = events_of(base_events, "shuffle.start")[0]
-        holders = baseline.executions[0].payload_nodes
+        holders = {
+            index: winner.node
+            for index, winner in baseline.executions[0].winners.items()
+        }
         victim = sorted(holders.values())[0]
         kill_at = (
             shuffle_start["sim"] + shuffle_start["attrs"]["end"]

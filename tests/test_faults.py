@@ -10,15 +10,10 @@ from repro.hdfs import (
     TransientReadError,
 )
 from repro.mapreduce import Job, JobFailedError, run_job
-from repro.mapreduce.scheduler import (
-    ScheduledTask,
-    _speculate,
-    schedule_map_tasks,
-)
 from repro.mapreduce.types import InputSplit
 from repro.obs import FlightRecorder
 from repro.sim.metrics import Metrics
-from tests.conftest import micro_records, micro_schema
+from tests.conftest import micro_records, micro_schema, run_splits
 
 
 def cpp_fs(num_nodes=6, block_size=16 * 1024):
@@ -224,7 +219,7 @@ class TestSchedulerRetry:
 
         recorder = FlightRecorder()
         with recorder.activate():
-            tasks = schedule_map_tasks(
+            tasks = run_splits(
                 self._splits(4), 4, 1, execute, max_attempts=4,
                 obs=recorder,
             )
@@ -250,9 +245,7 @@ class TestSchedulerRetry:
             return self._metrics()
 
         with pytest.raises(JobFailedError) as info:
-            schedule_map_tasks(
-                self._splits(3), 4, 1, execute, max_attempts=2
-            )
+            run_splits(self._splits(3), 4, 1, execute, max_attempts=2)
         assert len(info.value.attempts) == 2
         assert all(a["split"] == "s0" for a in info.value.attempts)
         assert info.value.attempts[0]["attempt"] == 0
@@ -265,18 +258,33 @@ class TestSchedulerRetry:
             return self._metrics()
 
         recorder = FlightRecorder()
-        tasks = schedule_map_tasks(
-            self._splits(8), 4, 1, execute, max_attempts=8,
-            blacklist_after=2, obs=recorder,
+        tasks = run_splits(
+            self._splits(8), 4, 1, execute, max_attempts=8, obs=recorder,
         )
         survivors = [t for t in tasks if t.produced_output]
         assert len(survivors) == 8
         assert all(t.node != 0 for t in survivors)
         failures_on_0 = [t for t in tasks if t.node == 0 and t.failed]
-        assert len(failures_on_0) == 2  # then the node was benched
+        assert len(failures_on_0) == 3  # then the job benched the node
         assert recorder.registry.value_of(
             "scheduler.blacklisted", node=0
         ) == 1
+
+    def test_banned_node_beats_a_deadlocked_job(self):
+        # The retry is banned from the only node; rather than strand the
+        # job the scheduler runs it there anyway.
+        failed_once = []
+
+        def execute(split, node):
+            if not failed_once:
+                failed_once.append(node)
+                raise TransientReadError("flaky read")
+            return self._metrics()
+
+        tasks = run_splits(
+            [InputSplit(10, [0], "s0")], 1, 1, execute, max_attempts=2
+        )
+        assert [(t.node, t.failed) for t in tasks] == [(0, True), (0, False)]
 
     def test_fault_metrics_occupy_the_slot(self):
         # A failed attempt's partial work still burned slot time.
@@ -287,7 +295,7 @@ class TestSchedulerRetry:
                 raise error
             return self._metrics(1.0)
 
-        tasks = schedule_map_tasks(
+        tasks = run_splits(
             [InputSplit(10, [0], "s0")], 2, 1, execute, max_attempts=2
         )
         failed = [t for t in tasks if t.failed]
@@ -298,33 +306,23 @@ class TestSchedulerRetry:
 
 class TestSpeculationTermination:
     def test_speculate_stops_once_nothing_is_eligible(self):
-        # Regression: the old guard compared the speculated set against
-        # the *growing* task list and never fired, so the loop drained
-        # every idle slot scanning for candidates that could not exist.
-        import heapq
-
-        split = InputSplit(10, [0], "s0")
-        long_metrics = Metrics()
-        long_metrics.charge_io(100.0)
-        running = ScheduledTask(
-            split, 1, 0.0, 100.0, long_metrics, data_local=False
-        )
-        tasks = [running]
-        slots = [(0.0, node, 0) for node in range(40)]
-        heapq.heapify(slots)
-
-        def execute(s, node):
+        # One straggler among 40 idle nodes: it is cloned exactly once,
+        # the clone wins, and with nothing left to speculate on the run
+        # ends instead of cloning onto the remaining idle slots.
+        def execute(split, node):
             m = Metrics()
-            m.charge_io(1.0)
+            m.charge_io(100.0 if (split.label, node) == ("slow", 3) else 1.0)
             return m
 
-        _speculate(tasks, slots, execute)
+        splits = [InputSplit(10, [i], f"q{i}") for i in range(3)]
+        splits.append(InputSplit(10, [3], "slow"))
+        tasks = run_splits(splits, 40, 1, execute, speculative=True)
         duplicates = [t for t in tasks if t.speculative]
-        assert len(duplicates) == 1  # one duplicate, data-local, wins
-        assert duplicates[0].node == 0
-        # the fix: with nothing left to speculate on the loop stops
-        # instead of popping all 39 remaining idle slots
-        assert len(slots) > 0
+        assert len(duplicates) == 1
+        assert not duplicates[0].killed
+        assert duplicates[0].start == 1.5  # 1.5x the 1s median
+        assert len(tasks) == 5
+        assert max(t.end for t in tasks) == 2.5
 
     def test_speculative_run_duplicates_each_split_at_most_once(self):
         splits = [InputSplit(10, [0], f"s{i}") for i in range(6)]
@@ -334,7 +332,7 @@ class TestSpeculationTermination:
             m.charge_io(5.0 if node != 0 else 1.0)
             return m
 
-        tasks = schedule_map_tasks(splits, 3, 2, execute, speculative=True)
+        tasks = run_splits(splits, 3, 2, execute, speculative=True)
         from collections import Counter
 
         per_split = Counter(t.split.label for t in tasks)

@@ -8,11 +8,10 @@ from repro.hdfs import ClusterConfig, FileSystem
 from repro.mapreduce import Job, run_job
 from repro.mapreduce.output import TextOutputFormat, render
 from repro.mapreduce.runner import estimate_pair_size
-from repro.mapreduce.scheduler import schedule_map_tasks
 from repro.mapreduce.types import InputSplit
 from repro.serde.schema import Schema
 from repro.sim.metrics import Metrics
-from tests.conftest import micro_records, micro_schema
+from tests.conftest import micro_records, micro_schema, run_splits
 
 
 def passthrough(key, value, emit, ctx):
@@ -115,7 +114,7 @@ class TestSchedulerWaves:
             m.charge_io(1.0)
             return m
 
-        tasks = schedule_map_tasks(splits, 2, 2, execute)
+        tasks = run_splits(splits, 2, 2, execute)
         assert len(tasks) == 25
         # 25 unit tasks on 4 slots: ~7 waves.
         assert max(t.end for t in tasks) == pytest.approx(7.0)
@@ -129,17 +128,17 @@ class TestSchedulerWaves:
             m.charge_io(durations[split.label])
             return m
 
-        tasks = schedule_map_tasks(splits, 4, 1, execute)
+        tasks = run_splits(splits, 4, 1, execute)
         assert max(t.end for t in tasks) >= 10.0
 
     def test_zero_duration_tasks_terminate(self):
         splits = [InputSplit(0, [0], f"z{i}") for i in range(10)]
-        tasks = schedule_map_tasks(splits, 1, 1, lambda s, n: Metrics())
+        tasks = run_splits(splits, 1, 1, lambda s, n: Metrics())
         assert len(tasks) == 10
 
     def test_no_slots_runs_nothing(self):
         splits = [InputSplit(1, [0], "s")]
-        tasks = schedule_map_tasks(splits, 0, 6, lambda s, n: Metrics())
+        tasks = run_splits(splits, 1, 0, lambda s, n: Metrics())
         assert tasks == []
 
 
@@ -225,7 +224,7 @@ class TestSchedulerProperties:
                 durations[split.label] = m.task_time
                 return m
 
-            tasks = schedule_map_tasks(splits, num_nodes, slots, execute)
+            tasks = run_splits(splits, num_nodes, slots, execute)
             # every split runs exactly once
             assert sorted(t.split.label for t in tasks) == sorted(
                 s.label for s in splits

@@ -1,84 +1,117 @@
-"""Tests for speculative execution of map stragglers."""
+"""Tests for speculative execution of map stragglers.
 
-import pytest
+Speculation is progress-based: once a queue has ``min_samples`` (3)
+completed attempts, a running original that has taken 1.5x their
+median is cloned onto an idle slot; the first finisher wins and the
+other attempt is killed.
+"""
+
+from collections import Counter
 
 from repro.core import ColumnInputFormat, write_dataset
 from repro.hdfs import ClusterConfig, FileSystem
 from repro.mapreduce import Job, run_job
-from repro.mapreduce.scheduler import makespan, schedule_map_tasks
+from repro.mapreduce.scheduler import makespan
 from repro.mapreduce.types import InputSplit
 from repro.sim.metrics import Metrics
-from tests.conftest import micro_records, micro_schema
+from tests.conftest import micro_records, micro_schema, run_splits
 
-#: node 0 reads locally in 1s; every other node takes 5s (remote).
-def _locality_execute(split, node):
-    m = Metrics()
-    m.charge_io(1.0 if node in split.locations else 5.0)
-    return m
+
+def _slow_node_execute(slow_seconds, slow_node=1):
+    """Every attempt takes 1s, except on ``slow_node``."""
+
+    def execute(split, node):
+        m = Metrics()
+        m.charge_io(slow_seconds if node == slow_node else 1.0)
+        return m
+
+    return execute
+
+
+def _signature(tasks):
+    return [
+        (t.split.label, t.node, t.slot, t.start, t.duration, t.data_local,
+         t.speculative, t.killed)
+        for t in tasks
+    ]
 
 
 class TestSchedulerSpeculation:
-    def _splits(self, n, local_node=0):
-        return [InputSplit(10, [local_node], f"s{i}") for i in range(n)]
+    def _splits(self, n, nodes=(0, 1)):
+        return [InputSplit(10, list(nodes), f"s{i}") for i in range(n)]
 
     def test_duplicate_wins_and_original_killed(self):
-        # 2 nodes x 1 slot, 2 splits, both local only to node 0: node 1
-        # is forced remote; once node 0 frees, it speculates the remote
-        # task locally and wins.
-        tasks = schedule_map_tasks(
-            self._splits(2), 2, 1, _locality_execute, speculative=True
+        # 2 nodes x 1 slot, node 1 takes 5s per attempt.  Node 0 runs
+        # s0, s2, s3 back to back; at t=3 the queue has 3 samples of 1s,
+        # s1 (running 3s on node 1) is a straggler, and its clone on
+        # node 0 finishes at t=4 — before the original.
+        tasks = run_splits(
+            self._splits(4), 2, 1, _slow_node_execute(5.0), speculative=True
         )
-        assert len(tasks) == 3  # 2 originals + 1 duplicate
+        assert len(tasks) == 5  # 4 originals + 1 duplicate
         duplicate = next(t for t in tasks if t.speculative)
-        original = next(t for t in tasks if not t.data_local)
+        original = next(
+            t for t in tasks
+            if t.split.label == duplicate.split.label and not t.speculative
+        )
+        assert (duplicate.node, duplicate.start) == (0, 3.0)
         assert not duplicate.killed
         assert original.killed
-        assert original.end == duplicate.end  # killed at commit time
+        assert original.end == duplicate.end == 4.0  # killed at commit
 
     def test_speculation_improves_makespan(self):
-        baseline = schedule_map_tasks(
-            self._splits(2), 2, 1, _locality_execute, speculative=False
+        execute = _slow_node_execute(5.0)
+        baseline = run_splits(self._splits(4), 2, 1, execute)
+        speculated = run_splits(
+            self._splits(4), 2, 1, execute, speculative=True
         )
-        speculated = schedule_map_tasks(
-            self._splits(2), 2, 1, _locality_execute, speculative=True
-        )
-        assert makespan(speculated) < makespan(baseline)
+        assert makespan(baseline) == 5.0
+        assert makespan(speculated) == 4.0
 
     def test_no_speculation_when_everything_local(self):
-        splits = [InputSplit(10, [0, 1], f"s{i}") for i in range(4)]
-        tasks = schedule_map_tasks(splits, 2, 1, _locality_execute,
-                                   speculative=True)
+        # Every attempt takes the typical 1s: nothing ever straggles.
+        tasks = run_splits(
+            self._splits(4), 2, 1, _slow_node_execute(1.0), speculative=True
+        )
         assert not any(t.speculative for t in tasks)
 
     def test_losing_duplicate_marked_killed(self):
-        # Make the duplicate slower than the original's remaining time:
-        # remote is only slightly slower, so by the time a local slot
-        # frees, rerunning from scratch cannot win.
-        def execute(split, node):
-            m = Metrics()
-            m.charge_io(1.0 if node in split.locations else 1.2)
-            return m
-
-        splits = [InputSplit(10, [0], f"s{i}") for i in range(2)]
-        tasks = schedule_map_tasks(splits, 2, 1, execute, speculative=True)
+        # The original needs 3.5s; its clone launches at t=3 and would
+        # end at t=4, so the original commits first and the clone dies.
+        tasks = run_splits(
+            self._splits(4), 2, 1, _slow_node_execute(3.5), speculative=True
+        )
         duplicates = [t for t in tasks if t.speculative]
-        if duplicates:  # the duplicate launched and lost
-            assert all(t.killed for t in duplicates)
-            original = next(t for t in tasks if not t.data_local)
-            assert not original.killed
+        assert len(duplicates) == 1
+        assert duplicates[0].killed
+        assert duplicates[0].end == 3.5
+        original = next(
+            t for t in tasks
+            if t.split.label == duplicates[0].split.label
+            and not t.speculative
+        )
+        assert not original.killed
 
     def test_each_split_speculated_at_most_once(self):
-        tasks = schedule_map_tasks(
-            self._splits(3), 4, 1, _locality_execute, speculative=True
+        tasks = run_splits(
+            self._splits(8, nodes=(0, 1, 2, 3)), 4, 1,
+            _slow_node_execute(20.0), speculative=True,
         )
-        from collections import Counter
-
         per_split = Counter(t.split.label for t in tasks)
         assert all(count <= 2 for count in per_split.values())
+        assert any(t.speculative for t in tasks)
 
     def test_off_by_default_matches_plain(self):
-        plain = schedule_map_tasks(self._splits(3), 2, 1, _locality_execute)
+        execute = _slow_node_execute(5.0)
+        plain = run_splits(self._splits(4), 2, 1, execute)
         assert not any(t.speculative for t in plain)
+        # Speculation that never fires leaves the schedule untouched.
+        quiet = run_splits(
+            self._splits(4), 2, 1, _slow_node_execute(1.0), speculative=True
+        )
+        assert _signature(quiet) == _signature(
+            run_splits(self._splits(4), 2, 1, _slow_node_execute(1.0))
+        )
 
 
 class TestJobSpeculation:
@@ -106,5 +139,6 @@ class TestJobSpeculation:
             fs, Job("s", mapper, fmt, reducer=reducer, speculative=True)
         )
         assert sorted(plain.output) == sorted(spec.output)
+        assert spec.counters.as_dict() == plain.counters.as_dict()
         # Speculative duplicates never *increase* wall clock.
         assert spec.map_makespan <= plain.map_makespan + 1e-9

@@ -30,6 +30,7 @@ from repro.obs import (
     current_obs,
     reconcile,
 )
+from repro.obs.fold import metrics_snapshot
 from repro.serde.record import Record
 from repro.serde.schema import Schema
 
@@ -86,7 +87,8 @@ def main() -> None:
                             record.get("url")
                 finally:
                     reader.close()
-            obs.record_metrics(f"scan:{split.label}", ctx.metrics)
+            obs.emit("scan.finish", label=f"scan:{split.label}",
+                     metrics=metrics_snapshot(ctx.metrics))
     print(f"scan found {broken} broken links")
 
     # -- 3. fold the counters into a heatmap, persist the sidecar --------

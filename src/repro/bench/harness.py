@@ -15,6 +15,7 @@ from typing import List, Optional, Sequence
 from repro.hdfs import ClusterConfig, FileSystem
 from repro.mapreduce.types import InputFormat, TaskContext
 from repro.obs import current_obs
+from repro.obs.fold import metrics_snapshot
 from repro.sim import calibration
 from repro.sim.cost import CpuCostModel
 from repro.sim.metrics import Metrics
@@ -111,7 +112,8 @@ def scan(
     function would do); None touches nothing beyond materialization.
 
     Under an active flight recorder the scan is traced (one span per
-    scan, one per split) and its metrics snapshot is recorded, so every
+    scan, one per split) and its metrics snapshot is published as a
+    ``scan.finish`` event, so every
     benchmark emits a flight-recorder artifact with no extra plumbing.
     """
     obs = current_obs()
@@ -141,7 +143,7 @@ def scan(
                                 record.get(column)
             finally:
                 reader.close()
-    obs.record_metrics(label, ctx.metrics)
+    obs.emit("scan.finish", label=label, metrics=metrics_snapshot(ctx.metrics))
     return ctx.metrics
 
 

@@ -979,14 +979,8 @@ def _run_fsck(args, out: Callable[[str], None]) -> int:
     out(report.render())
     if recorder is not None:
         recorder.meta["healthy"] = report.healthy
-        try:
-            recorder.report().write_jsonl(
-                args.trace_out, gzipped=args.gzip or None
-            )
-        except OSError as exc:
-            out(f"error: cannot write flight recording: {exc}")
+        if not _write_trace(recorder.report(), args, out):
             return 1
-        out(f"wrote flight recording to {args.trace_out}")
     return 0 if report.healthy else 1
 
 
@@ -999,6 +993,17 @@ def _load_trace(path: str, out: Callable[[str], None]):
     except (OSError, ValueError) as exc:
         out(f"error: cannot read flight recording {path}: {exc}")
         return None
+
+
+def _write_trace(report, args, out: Callable[[str], None]) -> bool:
+    """Write ``--trace-out``; False (after an error line) on failure."""
+    try:
+        report.write_jsonl(args.trace_out, gzipped=args.gzip or None)
+    except OSError as exc:
+        out(f"error: cannot write flight recording: {exc}")
+        return False
+    out(f"wrote flight recording to {args.trace_out}")
+    return True
 
 
 def _load_plan(path: Optional[str], out: Callable[[str], None]):
@@ -1151,15 +1156,8 @@ def _run_top(args, out: Callable[[str], None]) -> int:
     monitor.final()
     out(f"job finished: {result.total_time:.3f}s simulated, "
         f"{len(result.output)} output row(s)")
-    if args.trace_out:
-        try:
-            recorder.report().write_jsonl(
-                args.trace_out, gzipped=args.gzip or None
-            )
-        except OSError as exc:
-            out(f"error: cannot write flight recording: {exc}")
-            return 1
-        out(f"wrote flight recording to {args.trace_out}")
+    if args.trace_out and not _write_trace(recorder.report(), args, out):
+        return 1
     return 0
 
 
@@ -1252,40 +1250,27 @@ def _run_cluster(args, out: Callable[[str], None]) -> int:
     # SLOs.  Strictly an observer — the simulated run is identical with
     # or without it (the cluster_slo bench gates that).
     resolved_policy = profile.cluster_policy(args.policy)
-    monitor = None
+    monitored = args.tsdb or resolved_policy.slos or resolved_policy.alerts
     run_obs = None
-    bus = None
-    if args.tsdb or resolved_policy.slos or resolved_policy.alerts:
+    bus = recorder.bus if recorder is not None else None
+    if bus is None and (monitored or args.events_out):
+        from repro.obs import (
+            EventBus, MetricRegistry, NULL_TRACER, Observability,
+        )
+
+        bus = EventBus()
+        run_obs = Observability(
+            NULL_TRACER, MetricRegistry(), enabled=True, bus=bus,
+        )
+    monitor = None
+    if monitored:
         from repro.obs.alerts import ClusterMonitor
 
-        if recorder is not None:
-            bus = recorder.bus
-        else:
-            from repro.obs import (
-                EventBus, MetricRegistry, NULL_TRACER, Observability,
-            )
-
-            bus = EventBus()
-            run_obs = Observability(
-                NULL_TRACER, MetricRegistry(), enabled=True, bus=bus,
-            )
         monitor = ClusterMonitor.for_policy(resolved_policy).attach(bus)
     sink = None
     if args.events_out:
         from repro.obs import JsonlEventSink
 
-        if bus is None:
-            if recorder is not None:
-                bus = recorder.bus
-            else:
-                from repro.obs import (
-                    EventBus, MetricRegistry, NULL_TRACER, Observability,
-                )
-
-                bus = EventBus()
-                run_obs = Observability(
-                    NULL_TRACER, MetricRegistry(), enabled=True, bus=bus,
-                )
         try:
             sink = JsonlEventSink(args.events_out, flush_every=64)
         except OSError as exc:
@@ -1367,15 +1352,10 @@ def _run_cluster(args, out: Callable[[str], None]) -> int:
                 f"folded {len(saved)} series "
                 f"({saved.runs} run(s) accumulated) into {args.tsdb}"
             )
-    if recorder is not None:
-        try:
-            recorder.report().write_jsonl(
-                args.trace_out, gzipped=args.gzip or None
-            )
-        except OSError as exc:
-            out(f"error: cannot write flight recording: {exc}")
-            return 1
-        out(f"wrote flight recording to {args.trace_out}")
+    if recorder is not None and not _write_trace(
+        recorder.report(), args, out
+    ):
+        return 1
     return 0 if not report.failed else 1
 
 
@@ -1493,6 +1473,7 @@ def _explain_scan(fs, input_format, touch_columns, profile=False) -> None:
     """
     from repro.bench import harness
     from repro.obs import NULL_PROFILER, OperatorProfiler, current_obs
+    from repro.obs.fold import metrics_snapshot
 
     obs = current_obs()
     with obs.tracer.span(
@@ -1525,7 +1506,10 @@ def _explain_scan(fs, input_format, touch_columns, profile=False) -> None:
             finally:
                 reader.close()
                 profiler.finish(obs)
-            obs.record_metrics(f"scan:{split.label}", ctx.metrics)
+            obs.emit(
+                "scan.finish", label=f"scan:{split.label}",
+                metrics=metrics_snapshot(ctx.metrics),
+            )
 
 
 def _emit_explain(
@@ -1693,13 +1677,8 @@ def _run_explain(args, out: Callable[[str], None]) -> int:
     status = _emit_explain(
         args, out, pal, accumulated, layouts, problems, recommendations
     )
-    if args.trace_out:
-        try:
-            report.write_jsonl(args.trace_out, gzipped=args.gzip or None)
-        except OSError as exc:
-            out(f"error: cannot write flight recording: {exc}")
-            return 1
-        out(f"wrote flight recording to {args.trace_out}")
+    if args.trace_out and not _write_trace(report, args, out):
+        return 1
     return status
 
 
@@ -2034,15 +2013,10 @@ def main(argv: Optional[List[str]] = None, out: Callable[[str], None] = print) -
                     text = EXPERIMENTS[name].run(size)
                 out(text)
                 out("")
-        if recorder is not None:
-            try:
-                recorder.report().write_jsonl(
-                    args.trace_out, gzipped=args.gzip or None
-                )
-            except OSError as exc:
-                out(f"error: cannot write flight recording: {exc}")
-                return 1
-            out(f"wrote flight recording to {args.trace_out}")
+        if recorder is not None and not _write_trace(
+            recorder.report(), args, out
+        ):
+            return 1
         return 0
     build_parser().print_help()
     return 2

@@ -432,20 +432,7 @@ class ClusterManager(SlotScheduler):
         execution.preemptions += 1
         self.preemptions += 1
         split = execution.splits[running.pending.index]
-        self.obs.registry.counter(
-            "task.attempts", outcome="preempted"
-        ).inc()
-        self.obs.registry.counter(
-            "cluster.preemptions", queue=execution.queue
-        ).inc()
-        self.obs.emit(
-            "task.finish", sim_time=now, kind="map",
-            split=split.label, node=running.node, slot=running.slot,
-            attempt=running.pending.attempt, outcome="preempted",
-            duration=running.task.duration,
-            job=execution.job.name, tenant=execution.tenant,
-            speculative=running.speculative,
-        )
+        self._emit_finish(running, now, "preempted")
         self.obs.emit(
             "task.preempted", sim_time=now,
             split=split.label, node=running.node, slot=running.slot,
@@ -463,9 +450,6 @@ class ClusterManager(SlotScheduler):
             # retry budget — the original is still running; the split
             # may be re-cloned later if it keeps straggling.
             execution.speculated.discard(running.pending.index)
-            self.obs.registry.counter(
-                "scheduler.speculation", outcome="preempted"
-            ).inc()
             return
         self._requeue(
             execution, running.pending, now, frozenset(),

@@ -11,8 +11,10 @@ check* instead of mutable-state snapshotting:
   WAL.  Record 0 is a ``meta`` header embedding the full profile,
   policy name and fault plan — everything needed to re-derive the run.
   Lines are flushed one at a time and may be gzip-framed, exactly like
-  the flight-recorder artifacts, so a crash mid-write leaves a readable
-  prefix and :meth:`ClusterWAL.load` tolerates the torn final line.
+  the flight-recorder artifacts (both go through
+  :mod:`repro.util.jsonl`), so a crash mid-write leaves a readable
+  prefix: :meth:`ClusterWAL.load` drops a torn final line and salvages
+  a torn gzip stream, each with a warning.
 
 - **Resume** — :func:`resume_from_wal` rebuilds the profile and fault
   plan from the header and re-runs the traffic with a *verifying* WAL:
@@ -33,9 +35,10 @@ boundary of the sample profile.
 
 from __future__ import annotations
 
-import gzip as _gzip
 import json
 from typing import List, Optional, Tuple
+
+from repro.util.jsonl import JsonlWriter, LogFormatError, read_jsonl
 
 #: bump when the record schema changes incompatibly
 WAL_VERSION = 1
@@ -79,11 +82,9 @@ class ClusterWAL:
         #: loader warnings (torn tail) carried through a resume
         self.warnings: List[str] = []
         self._seq = 0
-        self._handle = None
-        if path is not None:
-            gz = gzipped if gzipped is not None else path.endswith(".gz")
-            opener = _gzip.open if gz else open
-            self._handle = opener(path, "wt", encoding="utf-8")
+        self._handle = (
+            JsonlWriter(path, gzipped=gzipped) if path is not None else None
+        )
 
     def append(self, kind: str, /, **fields) -> dict:
         """Journal one record; returns it (with its ``seq`` assigned)."""
@@ -104,8 +105,7 @@ class ClusterWAL:
             self.verified += 1
         self.records.append(record)
         if self._handle is not None:
-            self._handle.write(json.dumps(record, sort_keys=True) + "\n")
-            self._handle.flush()
+            self._handle.write(record)
         self._seq += 1
         return record
 
@@ -120,56 +120,25 @@ class ClusterWAL:
     def load(path: str) -> Tuple[List[dict], List[str]]:
         """Read a journal; returns ``(records, warnings)``.
 
-        Accepts gzip framing by content (magic bytes, not file name).
-        A torn final line — the record in flight when the manager
-        crashed — is dropped with a warning; any earlier malformed line
-        is a hard error.
+        Reads through :func:`repro.util.jsonl.read_jsonl`: gzip framing
+        by content, a torn gzip stream salvaged and a torn final line —
+        the record in flight when the manager crashed — dropped, both
+        with a warning; any earlier malformed line is a hard error.
         """
-        with open(path, "rb") as handle:
-            head = handle.read(2)
-        if head == b"\x1f\x8b":
-            with _gzip.open(path, "rt", encoding="utf-8") as handle:
-                text = handle.read()
-        else:
-            with open(path, encoding="utf-8") as handle:
-                text = handle.read()
-        records: List[dict] = []
-        warnings: List[str] = []
-        lines = text.splitlines()
-        last_payload = next(
-            (i for i in range(len(lines) - 1, -1, -1) if lines[i].strip()),
-            None,
-        )
-        for lineno, line in enumerate(lines, 1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                record = json.loads(line)
-            except ValueError as exc:
-                if records and lineno - 1 == last_payload:
-                    warnings.append(
-                        f"torn final record (line {lineno}) dropped: {exc}"
-                    )
-                    break
-                raise ValueError(
-                    f"line {lineno} is not a WAL record: {exc}"
-                ) from exc
-            if not isinstance(record, dict) or "type" not in record:
-                raise ValueError(f"line {lineno} is not a WAL record")
-            if record.get("seq") != len(records):
-                raise ValueError(
-                    f"line {lineno}: expected seq {len(records)}, "
+        records, warnings = read_jsonl(path, "WAL")
+        for index, record in enumerate(records):
+            if record.get("seq") != index:
+                raise LogFormatError(
+                    f"record {index}: expected seq {index}, "
                     f"got {record.get('seq')!r}"
                 )
-            records.append(record)
         if not records:
-            raise ValueError(f"{path}: empty WAL (nothing to resume)")
+            raise LogFormatError(f"{path}: empty WAL (nothing to resume)")
         if records[0].get("type") != "meta":
-            raise ValueError(f"{path}: record 0 is not a meta header")
+            raise LogFormatError(f"{path}: record 0 is not a meta header")
         version = records[0].get("v")
         if version != WAL_VERSION:
-            raise ValueError(
+            raise LogFormatError(
                 f"{path}: WAL version {version!r} "
                 f"(this build reads {WAL_VERSION})"
             )

@@ -3,9 +3,10 @@
 The injector is driven by the MapReduce scheduler's event loop:
 ``advance_time(now)`` fires every ``at_time`` event that has come due,
 and ``on_task_start()`` fires ``at_task`` events as task attempts
-launch.  Every fired event emits a ``faults.injected`` counter and a
-``fault`` span through the ambient observability, so a flight recording
-shows exactly when the world broke.
+launch.  Every fired event is published once, as a ``fault.injected``
+bus event on the ambient observability; a flight recording folds it
+into the ``faults.injected{kind}`` counter and a zero-length ``fault``
+span (:mod:`repro.obs.fold`), so it shows exactly when the world broke.
 
 Node deaths are queued for the scheduler (``drain_dead`` /
 ``drain_retired``): the scheduler fails running attempts on dead nodes,
@@ -118,11 +119,6 @@ class FaultInjector:
         handler = getattr(self, f"_fire_{event.kind}")
         detail = handler(event)
         self.fired.append(event)
-        self.obs.registry.counter("faults.injected", kind=event.kind).inc()
-        self.obs.tracer.record_span(
-            "fault", kind="fault", sim_start=self._sim_now, sim_duration=0.0,
-            fault=event.kind, **(detail or {}),
-        )
         self.obs.emit(
             "fault.injected", sim_time=self._sim_now,
             fault=event.kind, **(detail or {}),

@@ -293,7 +293,7 @@ class FileSystem:
         fail their checksum are reported to the namenode (invalidated
         and, with :attr:`auto_repair`, immediately re-replicated from a
         good copy); a read that *planned* to be local but was served
-        remotely counts a ``replica.failover`` and is charged network
+        remotely emits a ``replica.failover`` event and is charged network
         cost by the stream layer.
         """
         if reader_node is not None and reader_node in self._dead_nodes:
@@ -317,9 +317,7 @@ class FileSystem:
                 continue
             local = reader_node is None or node == reader_node
             if wanted_local and not local:
-                obs = current_obs()
-                obs.registry.counter("replica.failover").inc()
-                obs.emit(
+                current_obs().emit(
                     "replica.failover", block=bid,
                     reader=reader_node, served_by=node,
                 )

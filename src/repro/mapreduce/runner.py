@@ -35,7 +35,7 @@ from repro.mapreduce.scheduler import (
 )
 from repro.mapreduce.types import InputSplit, TaskContext
 from repro.obs import NULL_PROFILER, Observability, OperatorProfiler, current_obs
-from repro.obs.registry import TASK_DURATION_BOUNDARIES
+from repro.obs.fold import metrics_snapshot
 from repro.sim.metrics import Metrics
 
 #: CPU charge per key comparison in the reduce-side sort.
@@ -109,24 +109,12 @@ class JobRunner:
         with obs.tracer.span("job", kind="job", job=job.name) as job_span:
             obs.emit("job.start", job=job.name)
             result = self._run_traced(job, obs)
-            obs.emit(
-                "job.finish",
-                sim_time=result.total_time,
-                job=job.name,
-                total_time=result.total_time,
-                attempts=result.attempts,
-                failed_tasks=result.failed_tasks,
-            )
         job_span.set("total_time", result.total_time)
-        obs.record_metrics(f"job:{job.name}:map", result.map_metrics)
-        obs.record_metrics(f"job:{job.name}:reduce", result.reduce_metrics)
-        obs.record_counters(f"job:{job.name}", result.counters)
         return result
 
     def _run_traced(self, job: Job, obs: Observability) -> JobResult:
         cluster = self.fs.cluster
         splits = job.input_format.get_splits(self.fs, cluster)
-        input_fmt = type(job.input_format).__name__
         with obs.tracer.span("map_phase", kind="phase", splits=len(splits)):
             obs.emit(
                 "phase.start", sim_time=0.0, phase="map",
@@ -140,33 +128,6 @@ class JobRunner:
                 job, splits, partial(self.execute_map_attempt, job)
             )
             tasks = execution.tasks
-            map_durations = obs.registry.histogram(
-                "task.duration.seconds", TASK_DURATION_BOUNDARIES, kind="map"
-            )
-            for task in tasks:
-                map_durations.observe(task.duration)
-                obs.tracer.record_span(
-                    "map_task",
-                    kind="task",
-                    sim_start=task.start,
-                    sim_duration=task.duration,
-                    sim_io=task.metrics.io_time,
-                    sim_cpu=task.metrics.cpu_time,
-                    split=task.split.label,
-                    node=task.node,
-                    slot=task.slot,
-                    data_local=task.data_local,
-                    speculative=task.speculative,
-                    killed=task.killed,
-                    attempt=task.attempt,
-                    failed=task.failed,
-                    format=input_fmt,
-                    disk_bytes=task.metrics.disk_bytes,
-                    net_bytes=task.metrics.net_bytes,
-                    requested_bytes=task.metrics.requested_bytes,
-                    seeks=task.metrics.seeks,
-                    records=task.metrics.records,
-                )
             obs.emit(
                 "phase.finish", sim_time=makespan(tasks), phase="map",
                 job=job.name, makespan=makespan(tasks), tasks=len(tasks),
@@ -180,16 +141,13 @@ class JobRunner:
         # Job counters carry only *logical* facts (tasks, records) so a
         # survivable fault plan leaves them byte-identical to a
         # fault-free run.  Physical placement is run-dependent under
-        # faults (a retry may land remote); it lives in the obs
-        # registry (``scheduler.assignments{placement=...}``) and in
-        # ``JobResult.data_local_fraction``.
+        # faults (a retry may land remote); it lives in the task.start
+        # events (``placement``), the job.finish event's
+        # ``data_local_tasks`` and ``JobResult.data_local_fraction``.
         counters = Counters()
         counters.increment("map.tasks", len(winners))
         counters.increment(
             "map.records", sum(t.metrics.records for t in winners)
-        )
-        obs.registry.counter("map.data_local_tasks").inc(
-            sum(1 for t in winners if t.data_local)
         )
         reduce_makespan, reduce_metrics, collected = self.run_reduce_phase(
             job, execution.payloads, counters, map_makespan
@@ -198,6 +156,20 @@ class JobRunner:
         total_time = (
             map_makespan + reduce_makespan + cluster.job_overhead_seconds
         )
+        failed_tasks = sum(1 for t in tasks if t.failed)
+        if obs.enabled:
+            obs.emit(
+                "job.finish",
+                sim_time=total_time,
+                job=job.name,
+                total_time=total_time,
+                attempts=len(tasks),
+                failed_tasks=failed_tasks,
+                map_metrics=metrics_snapshot(map_metrics),
+                reduce_metrics=metrics_snapshot(reduce_metrics),
+                counters=dict(sorted(counters.as_dict().items())),
+                data_local_tasks=sum(1 for t in winners if t.data_local),
+            )
         return JobResult(
             job_name=job.name,
             map_time=map_time,
@@ -211,7 +183,7 @@ class JobRunner:
             tasks=tasks,
             output=collected if collected is not None else [],
             attempts=len(tasks),
-            failed_tasks=sum(1 for t in tasks if t.failed),
+            failed_tasks=failed_tasks,
         )
 
     # -- phases -----------------------------------------------------------
@@ -260,10 +232,10 @@ class JobRunner:
         death took — contributes output and job counters, merged into
         ``counters`` in split order.  That keeps both byte-identical
         between a fault-free run and any survivable chaos run (retry
-        visibility lives in the obs registry's task.attempts counters
-        instead).  ``start_time`` is the simulated time the job's map
-        phase finished on the cluster's timeline.  Output goes to the
-        job's output format, or is collected when it has none.
+        visibility lives in the task.finish events instead).
+        ``start_time`` is the simulated time the job's map phase
+        finished on the cluster's timeline.  Output goes to the job's
+        output format, or is collected when it has none.
 
         Returns ``(reduce_makespan, reduce_metrics, collected)``;
         ``collected`` is None for a job with an output format.
@@ -323,25 +295,14 @@ class JobRunner:
                 counters.merge(ctx.counters)
                 reduce_metrics.add(ctx.metrics)
                 durations.append(ctx.metrics.task_time)
-                obs.registry.histogram(
-                    "task.duration.seconds", TASK_DURATION_BOUNDARIES,
-                    kind="reduce",
-                ).observe(ctx.metrics.task_time)
-                obs.tracer.record_span(
-                    "reduce_task",
-                    kind="task",
-                    sim_start=0.0,
-                    sim_duration=ctx.metrics.task_time,
-                    sim_io=ctx.metrics.io_time,
-                    sim_cpu=ctx.metrics.cpu_time,
-                    partition=r,
-                    records=ctx.metrics.records,
-                    net_bytes=ctx.metrics.net_bytes,
-                )
                 obs.emit(
                     "task.finish", sim_time=ctx.metrics.task_time,
                     kind="reduce", partition=r, outcome="ok",
                     duration=ctx.metrics.task_time,
+                    sim_io=ctx.metrics.io_time,
+                    sim_cpu=ctx.metrics.cpu_time,
+                    records=ctx.metrics.records,
+                    net_bytes=ctx.metrics.net_bytes,
                 )
             reduce_makespan = simulate_wave_makespan(
                 durations, cluster.total_reduce_slots

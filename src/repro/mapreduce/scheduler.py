@@ -528,23 +528,12 @@ class SlotScheduler:
             if not running.alive or running.node != node:
                 continue
             self._truncate(running, died_at, "node died")
+            self._emit_finish(running, died_at, "lost")
             execution = running.execution
-            self.obs.registry.counter(
-                "task.attempts", outcome="node_lost"
-            ).inc()
-            split_label = execution.splits[running.pending.index].label
-            self.obs.emit(
-                "task.finish", sim_time=died_at, kind="map",
-                split=split_label,
-                node=node, slot=running.slot,
-                attempt=running.pending.attempt, outcome="lost",
-                error="node died", duration=running.task.duration,
-                job=execution.job.name, tenant=execution.tenant,
-                speculative=running.speculative,
-            )
             self._wal_append(
                 "complete", t=died_at, job=execution.job.name,
-                split=split_label, node=node, outcome="lost",
+                split=execution.splits[running.pending.index].label,
+                node=node, outcome="lost",
             )
             self._retry(running, died_at, "node died")
         self._invalidate_outputs(node, died_at)
@@ -581,9 +570,6 @@ class SlotScheduler:
                 del execution.winners[index]
                 self.map_output_losses += 1
                 split_label = execution.splits[index].label
-                self.obs.registry.counter(
-                    "cluster.mapoutput.lost"
-                ).inc()
                 self.obs.emit(
                     "mapoutput.lost", sim_time=died_at,
                     split=split_label, node=node,
@@ -707,13 +693,35 @@ class SlotScheduler:
         execution.node_failures[node] = failures
         if failures >= BLACKLIST_AFTER and node not in execution.blacklist:
             execution.blacklist.add(node)
-            self.obs.registry.counter(
-                "scheduler.blacklisted", node=node
-            ).inc()
             self.obs.emit(
                 "node.blacklisted", node=node, failures=failures,
                 job=execution.job.name,
             )
+
+    def _emit_finish(
+        self, running: _Running, at: float, outcome: str
+    ) -> None:
+        """Publish how an attempt ended: its ``task.finish`` event is
+        the one record of the attempt's outcome, time and cost."""
+        if not self.obs.enabled:
+            return
+        task = running.task
+        metrics = task.metrics
+        execution = running.execution
+        extra = {"error": task.error} if task.error else {}
+        self.obs.emit(
+            "task.finish", sim_time=at, kind="map",
+            split=task.split.label, node=running.node, slot=running.slot,
+            attempt=running.pending.attempt, outcome=outcome,
+            duration=task.duration, job=execution.job.name,
+            tenant=execution.tenant, speculative=running.speculative,
+            failed=task.failed, start=task.start,
+            sim_io=metrics.io_time, sim_cpu=metrics.cpu_time,
+            disk_bytes=metrics.disk_bytes, net_bytes=metrics.net_bytes,
+            requested_bytes=metrics.requested_bytes, seeks=metrics.seeks,
+            records=metrics.records, data_local=task.data_local,
+            format=type(execution.job.input_format).__name__, **extra,
+        )
 
     # -- completions ----------------------------------------------------
 
@@ -737,33 +745,14 @@ class SlotScheduler:
             self._release(running)
             execution = running.execution
             outcome = "failed" if running.task.failed else "ok"
-            self.obs.registry.counter(
-                "task.attempts", outcome=outcome
-            ).inc()
-            split_label = execution.splits[running.pending.index].label
-            finish_attrs = dict(
-                kind="map",
-                split=split_label,
-                node=running.node, slot=running.slot,
-                attempt=running.pending.attempt, outcome=outcome,
-                duration=running.task.duration,
-                job=execution.job.name, tenant=execution.tenant,
-            )
-            if running.speculative:
-                finish_attrs["speculative"] = True
-            if running.task.failed:
-                finish_attrs["error"] = running.task.error
-            self.obs.emit("task.finish", sim_time=end, **finish_attrs)
+            self._emit_finish(running, end, outcome)
             self._wal_append(
                 "complete", t=end, job=execution.job.name,
-                split=split_label, node=running.node, outcome=outcome,
+                split=execution.splits[running.pending.index].label,
+                node=running.node, outcome=outcome,
             )
             if running.task.failed:
                 self._note_node_failure(execution, running.node)
-                if running.speculative:
-                    self.obs.registry.counter(
-                        "scheduler.speculation", outcome="failed"
-                    ).inc()
                 self._retry(running, end, running.task.error or "fault")
             else:
                 execution.payloads[running.pending.index] = running.payload
@@ -790,18 +779,8 @@ class SlotScheduler:
         self._release(loser)
         execution = loser.execution
         outcome = "won" if winner.speculative else "lost"
-        self.obs.registry.counter("task.attempts", outcome="killed").inc()
-        self.obs.registry.counter(
-            "scheduler.speculation", outcome=outcome
-        ).inc()
+        self._emit_finish(loser, end, "killed")
         split_label = execution.splits[loser.pending.index].label
-        self.obs.emit(
-            "task.finish", sim_time=end, kind="map",
-            split=split_label, node=loser.node, slot=loser.slot,
-            attempt=loser.pending.attempt, outcome="killed",
-            duration=task.duration, job=execution.job.name,
-            tenant=execution.tenant, speculative=loser.speculative,
-        )
         self.obs.emit(
             "scheduler.speculation", sim_time=end,
             split=split_label, job=execution.job.name,
@@ -982,9 +961,6 @@ class SlotScheduler:
         split = execution.splits[pending.index]
         flag = {"speculative": True} if speculative else {}
         placement = "local" if local else "remote"
-        self.obs.registry.counter(
-            "scheduler.assignments", placement=placement
-        ).inc()
         self.obs.emit(
             "task.start", sim_time=now, kind="map",
             split=split.label, node=node, slot=slot,
@@ -1145,9 +1121,6 @@ class SlotScheduler:
             original.pending.banned | frozenset({original.node}),
         )
         self.speculative_attempts += 1
-        self.obs.registry.counter(
-            "scheduler.speculation", outcome="launched"
-        ).inc()
         self.obs.emit(
             "task.speculative", sim_time=now,
             split=execution.splits[index].label,

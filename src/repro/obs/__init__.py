@@ -1,17 +1,25 @@
 """repro.obs — tracing, metrics, and the per-job flight recorder.
 
-The observability subsystem gives every run three instruments:
+The observability subsystem gives every run one record of what
+happened and the instruments that feed it:
 
-- a **metric registry** (:mod:`repro.obs.registry`): labeled counters,
-  gauges and fixed-boundary histograms with snapshot/merge semantics;
-- a **tracer** (:mod:`repro.obs.trace`): nested job → phase → task →
-  op spans on both the wall clock and the simulated clock;
-- a **flight recorder** (:mod:`repro.obs.recorder`): collects spans,
-  registry snapshots, ``sim.Metrics`` and job ``Counters`` into one
-  :class:`RunReport`, exportable as JSONL and renderable as ASCII.
+- an **event bus** (:mod:`repro.obs.events`): every run fact — an
+  attempt launched or ended, a fault fired, an operator profiled, a
+  job finished — is published once, as an event;
+- a **fold** (:mod:`repro.obs.fold`): the one pure function from that
+  event log to simulated-clock spans, derived counters, ``sim.Metrics``
+  snapshots and job counter dumps, run live and on reload alike;
+- a **metric registry** (:mod:`repro.obs.registry`) for hot-path probe
+  counters, gauges and fixed-boundary histograms;
+- a **tracer** (:mod:`repro.obs.trace`): nested job → phase → scan
+  spans on the wall clock;
+- a **flight recorder** (:mod:`repro.obs.recorder`): collects events,
+  wall spans and the probe registry into one :class:`RunReport`,
+  exportable as JSONL and renderable as ASCII.
 
 Everything is zero-overhead by default: code paths hold the ambient
-:data:`NULL_OBS` (no-op tracer/registry) until a recorder is activated::
+:data:`NULL_OBS` (no-op tracer/registry/bus) until a recorder is
+activated::
 
     from repro.obs import FlightRecorder
 

@@ -408,9 +408,6 @@ class ClusterMonitor:
         slos: Sequence[SloConfig] = (),
         rules: Optional[Sequence[AlertRule]] = None,
         step: float = 0.05,
-        retention: int = 0,
-        downsample: int = 8,
-        coarse_retention: int = 0,
     ) -> None:
         self.slos = list(slos)
         if rules is None:
@@ -420,8 +417,7 @@ class ClusterMonitor:
             ]
         self.rules = list(rules)
         self.store = TimeSeriesStore(
-            step=step, retention=retention, downsample=downsample,
-            coarse_retention=coarse_retention,
+            step=step,
             meta={
                 "slos": [slo.to_dict() for slo in self.slos],
                 "rules": [rule.to_dict() for rule in self.rules],

@@ -22,20 +22,23 @@ byte-identical).  Batch-kernel and scalar-fallback invocations inside
 (:meth:`OperatorProfiler.install`), giving the ``vecdecode.fallback.*``
 counters that make silent loss of the batched fast path visible.
 
-On :meth:`OperatorProfiler.finish` the profile is published through the
-ambient :class:`~repro.obs.recorder.Observability`:
+On :meth:`OperatorProfiler.finish` the profile is published once, as
+one ``operator.profile`` event on the ambient
+:class:`~repro.obs.recorder.Observability`'s bus, carrying every
+:class:`OperatorStats` field per operator plus the per-kernel and
+per-fallback invocation counts.  Everything else is folded from that
+event (:mod:`repro.obs.fold`):
 
 - one ``kind="operator"`` span per operator (``op:scan`` ... —
   ``sim_duration`` carries the operator's simulated seconds, attrs
   carry rows/cells/batches/invocations/wall time), which the JSONL
   trace, Chrome exporter (per-operator lanes) and ``repro perf
-  diff`` (``span op:*.sim_time`` entries) all pick up for free;
-- one ``operator.profile`` event on the bus (folded into the ``.tsdb``
-  sidecar for cluster runs);
+  diff`` (``span op:*.sim_time`` entries) all pick up;
 - labeled registry counters (``op.rows.*``, ``op.cells.*``,
   ``op.invocations.*``, ``vecdecode.kernel.calls``,
   ``vecdecode.fallback.<method>``) that the Prometheus exporter
-  serves without further wiring.
+  serves;
+- the ``.tsdb`` sidecar's per-operator series for cluster runs.
 
 The report-side helpers (:func:`operator_profiles`,
 :func:`render_operators`, :func:`diff_operators`) read those spans and
@@ -56,6 +59,12 @@ OPS = ("scan", "decode", "filter", "materialize", "aggregate")
 
 #: Per-operator integer fields that must agree exactly across engines.
 _RECONCILE_FIELDS = ("rows_in", "rows_out", "cells_decoded")
+
+#: Per-operator fields an ``operator.profile`` event carries.
+_EVENT_FIELDS = (
+    "rows_in", "rows_out", "cells_decoded", "cells_skipped", "batches",
+    "batch_rows", "kernel_calls", "fallback_calls", "sim_time", "wall_time",
+)
 
 
 class _ZeroMetrics:
@@ -170,14 +179,13 @@ class OperatorProfiler:
         self._installed = True
         return self
 
-    def finish(self, obs=None, sim_time: Optional[float] = None):
+    def finish(self, obs=None):
         """Close out the profile and publish it through ``obs``.
 
         Derives the ``scan`` operator's rows from the ``records``
         metric delta (both engines count records at the reader), emits
-        one ``kind="operator"`` span per operator plus an
-        ``operator.profile`` event and labeled counters, and restores
-        any previously-installed vecdecode sink.  Idempotent.
+        the ``operator.profile`` event, and restores any
+        previously-installed vecdecode sink.  Idempotent.
         """
         if self._finished:
             return self.stats
@@ -193,7 +201,7 @@ class OperatorProfiler:
         scan.rows_in += scanned
         scan.rows_out += scanned
         if obs is not None and obs.enabled:
-            self._publish(obs, sim_time)
+            self._publish(obs)
         return self.stats
 
     # -- instrumentation hooks -----------------------------------------
@@ -258,76 +266,26 @@ class OperatorProfiler:
         self._wall_mark = now_wall
         self._sim_mark = now_sim
 
-    def _publish(self, obs, sim_time: Optional[float]) -> None:
-        registry = obs.registry
-        event_ops = {}
-        for op in OPS:
-            stats = self.stats[op]
-            obs.tracer.record_span(
-                f"op:{op}",
-                "operator",
-                None,
-                stats.sim_time,
-                engine=self.engine,
-                op=op,
-                rows_in=stats.rows_in,
-                rows_out=stats.rows_out,
-                selectivity=round(stats.selectivity, 6),
-                cells_decoded=stats.cells_decoded,
-                cells_skipped=stats.cells_skipped,
-                batches=stats.batches,
-                batch_rows=stats.batch_rows,
-                kernel_calls=stats.kernel_calls,
-                fallback_calls=stats.fallback_calls,
-                wall_time=stats.wall_time,
-                **self.meta,
-            )
-            labels = {"engine": self.engine, "op": op}
-            if stats.rows_in:
-                registry.counter("op.rows.in", **labels).inc(stats.rows_in)
-            if stats.rows_out:
-                registry.counter("op.rows.out", **labels).inc(stats.rows_out)
-            if stats.cells_decoded:
-                registry.counter(
-                    "op.cells.decoded", **labels
-                ).inc(stats.cells_decoded)
-            if stats.cells_skipped:
-                registry.counter(
-                    "op.cells.skipped", **labels
-                ).inc(stats.cells_skipped)
-            if stats.batches:
-                registry.counter("op.batches", **labels).inc(stats.batches)
-            if stats.kernel_calls:
-                registry.counter(
-                    "op.invocations.kernel", **labels
-                ).inc(stats.kernel_calls)
-            if stats.fallback_calls:
-                registry.counter(
-                    "op.invocations.fallback", **labels
-                ).inc(stats.fallback_calls)
-            event_ops[op] = {
-                "rows_in": stats.rows_in,
-                "rows_out": stats.rows_out,
-                "cells_decoded": stats.cells_decoded,
-                "cells_skipped": stats.cells_skipped,
-                "sim_time": stats.sim_time,
-            }
-        for name, calls in self.kernel_counts.items():
-            registry.counter(
-                "vecdecode.kernel.calls", kernel=name, engine=self.engine
-            ).inc(calls)
-        for (method, owner), calls in self.fallback_counts.items():
-            registry.counter(
-                f"vecdecode.fallback.{method}", reader=owner,
-                engine=self.engine,
-            ).inc(calls)
-        if sim_time is None:
-            sim_time = self._metrics.io_time + self._metrics.cpu_time
+    def _publish(self, obs) -> None:
+        ops = {
+            op: {field: getattr(self.stats[op], field)
+                 for field in _EVENT_FIELDS}
+            for op in OPS
+        }
+        profile = {}
+        if self.kernel_counts:
+            profile["kernels"] = dict(self.kernel_counts)
+        if self.fallback_counts:
+            fallbacks: Dict[str, Dict[str, int]] = {}
+            for (method, owner), calls in self.fallback_counts.items():
+                fallbacks.setdefault(method, {})[owner] = calls
+            profile["fallbacks"] = fallbacks
         obs.emit(
             "operator.profile",
-            sim_time=sim_time,
+            sim_time=self._metrics.io_time + self._metrics.cpu_time,
             engine=self.engine,
-            ops=event_ops,
+            ops=ops,
+            **profile,
             **self.meta,
         )
 
@@ -345,7 +303,7 @@ class NullOperatorProfiler:
     def install(self) -> "NullOperatorProfiler":
         return self
 
-    def finish(self, obs=None, sim_time=None):
+    def finish(self, obs=None):
         return {}
 
     def switch(self, op: str) -> str:

@@ -1,57 +1,58 @@
-"""Per-job flight recorder: spans + metrics + counters in one artifact.
+"""Per-job flight recorder: one event log plus wall spans and probes.
 
-An :class:`Observability` bundles the two instruments — a
-:class:`~repro.obs.trace.Tracer` and a
-:class:`~repro.obs.registry.MetricRegistry` — that instrumented code
-reaches through ``ctx.obs``.  The default instance is :data:`NULL_OBS`,
-whose parts are all no-ops, so instrumentation costs nothing until a
-recorder is activated.
+An :class:`Observability` bundles what instrumented code reaches
+through ``ctx.obs``: a :class:`~repro.obs.trace.Tracer`, a
+:class:`~repro.obs.registry.MetricRegistry` for hot-path probes, and
+the :class:`~repro.obs.events.EventBus` every run fact is published on.
+The default :data:`NULL_OBS` is all no-ops, so instrumentation costs
+nothing until a recorder is activated.
 
-A :class:`FlightRecorder` is a *live* Observability that additionally
-collects :class:`~repro.sim.metrics.Metrics` snapshots and
-``mapreduce.Counters`` dumps as jobs/scans complete.  ``report()``
-freezes everything into a :class:`RunReport`, which serializes to JSONL
-(one self-describing record per line) and renders as ASCII tables.
+A :class:`FlightRecorder` keeps every bus event and runs
+:class:`~repro.obs.fold.EventFold` over them live, so its registry also
+holds the folded counters.  ``report()`` freezes the run into a
+:class:`RunReport`, which folds the same events again: simulated-clock
+spans, folded counters, ``sim.Metrics`` snapshots and job counter dumps
+are derived, never stored.  A report serializes to JSONL and renders as
+ASCII tables.
 
 JSONL schema (see ``docs/observability.md``):
 
 - ``{"type": "meta", ...}`` — one header line
 - ``{"type": "span", "id", "parent", "name", "kind", "wall_start",
   "wall_end", ["sim_start", "sim_duration", "sim_io", "sim_cpu",]
-  ["attrs"]}``
-- ``{"type": "counter"|"gauge", "name", "labels", "value"}``
-- ``{"type": "histogram", "name", "labels", "boundaries", "counts",
-  "sum", "count"}``
-- ``{"type": "metrics", "label", <Metrics fields>}``
-- ``{"type": "counters", "label", "values"}``
+  ["attrs"]}`` — wall-clock spans only
 - ``{"type": "event", "seq", "kind", "wall", ["sim", "span", "attrs"]}``
   — one per event-bus emission, in emission order
+- ``{"type": "counter"|"gauge", "name", "labels", "value"}`` and
+  ``{"type": "histogram", "name", "labels", "boundaries", "counts",
+  "sum", "count"}`` — the probe registry (nothing the fold derives)
 
 Artifacts are written one flushed line at a time (and may be gzipped:
-``run.jsonl.gz``); a run that crashes mid-write leaves a readable
-prefix, and :meth:`RunReport.from_jsonl` tolerates the torn final line
-with a warning instead of raising.
+``run.jsonl.gz``) through :mod:`repro.util.jsonl`.  A run that crashes
+mid-write leaves a readable prefix: :meth:`RunReport.load` drops a torn
+final line and salvages a torn gzip stream, each with a warning.
 """
 
 from __future__ import annotations
 
-import gzip as _gzip
 import json
 import time
-from typing import Callable, Dict, List, Optional, Tuple
+from collections import Counter
+from typing import Callable, Dict, List, Optional
 
-from repro.obs.events import NULL_BUS, EventBus
+from repro.obs.events import NULL_BUS, Event, EventBus
+from repro.obs.fold import METRICS_FIELDS, EventFold
 from repro.obs.registry import (
     NULL_REGISTRY,
     MetricRegistry,
-    NullRegistry,
+    _label_key,
 )
-from repro.obs.trace import NULL_TRACER, NullTracer, Tracer
-
-#: Metrics fields serialized into ``metrics`` records, in schema order.
-_METRICS_FIELDS = (
-    "disk_bytes", "net_bytes", "requested_bytes", "seeks",
-    "io_time", "cpu_time", "records", "cells", "objects",
+from repro.obs.trace import NULL_TRACER, Tracer
+from repro.util.jsonl import (
+    JsonlWriter,
+    LogFormatError,
+    parse_jsonl,
+    read_jsonl,
 )
 
 #: fetch-size histogram buckets: readahead-window-ish byte sizes
@@ -153,14 +154,6 @@ class Observability:
             **attrs,
         )
 
-    # Collection hooks; only the FlightRecorder stores anything.
-
-    def record_metrics(self, label: str, metrics) -> None:
-        pass
-
-    def record_counters(self, label: str, counters) -> None:
-        pass
-
 
 NULL_OBS = Observability(NULL_TRACER, NULL_REGISTRY, enabled=False)
 
@@ -194,7 +187,7 @@ class FlightRecorder(Observability):
     timestamps included), which the accounting-invariant tests assert.
     """
 
-    __slots__ = ("meta", "metrics_log", "counters_log", "events_log")
+    __slots__ = ("meta", "events_log", "fold")
 
     def __init__(
         self,
@@ -206,12 +199,13 @@ class FlightRecorder(Observability):
             bus=EventBus(clock=clock),
         )
         self.meta = dict(meta or {})
-        self.metrics_log: List[Tuple[str, dict]] = []
-        self.counters_log: List[Tuple[str, Dict[str, int]]] = []
         #: every bus event, in emission order (the recorder subscribes
         #: to its own bus, like any other consumer)
-        self.events_log: List = []
+        self.events_log: List[Event] = []
         self.bus.subscribe(self.events_log.append)
+        #: the live fold: derived counters land in :attr:`registry`
+        self.fold = EventFold(self.registry)
+        self.bus.subscribe(self.fold)
 
     def activate(self) -> _Activation:
         """``with recorder.activate(): ...`` — contexts created inside
@@ -221,56 +215,64 @@ class FlightRecorder(Observability):
         """
         return _Activation(self)
 
-    def record_metrics(self, label: str, metrics) -> None:
-        snap = {name: getattr(metrics, name) for name in _METRICS_FIELDS}
-        extra = getattr(metrics, "extra", None)
-        if extra:
-            snap["extra"] = dict(sorted(extra.items()))
-        self.metrics_log.append((label, snap))
-
-    def record_counters(self, label: str, counters) -> None:
-        self.counters_log.append(
-            (label, dict(sorted(counters.as_dict().items())))
-        )
-
     def report(self) -> "RunReport":
+        owned = self.fold.owned
         return RunReport(
             meta=dict(self.meta),
             spans=[span.to_dict() for span in self.tracer.spans],
-            metrics=[
-                {"label": label, **snap} for label, snap in self.metrics_log
+            registry=[
+                entry for entry in self.registry.snapshot()
+                if _entry_key(entry) not in owned
             ],
-            counters=[
-                {"label": label, "values": values}
-                for label, values in self.counters_log
-            ],
-            registry=self.registry.snapshot(),
             events=[event.to_dict() for event in self.events_log],
         )
 
 
+def _entry_key(entry: dict) -> tuple:
+    """A registry snapshot entry's (name, labels) identity."""
+    return (entry["name"], _label_key(entry["labels"]))
+
+
 class RunReport:
-    """The frozen artifact: everything one run's flight recorder saw."""
+    """The frozen artifact: one run's events, wall spans and probes.
+
+    ``spans`` and ``registry`` are what was recorded — wall-clock spans
+    and probe metrics.  The constructor folds ``events``
+    (:class:`~repro.obs.fold.EventFold`) and exposes the union: after
+    construction :attr:`spans` also holds the simulated-clock spans
+    (numbered after the recorded ones), :attr:`registry` the derived
+    metrics, and :attr:`metrics` / :attr:`counters` the snapshots and
+    dumps the events carry.
+    """
 
     def __init__(
         self,
         meta: dict,
         spans: List[dict],
-        metrics: List[dict],
-        counters: List[dict],
         registry: List[dict],
         events: Optional[List[dict]] = None,
         warnings: Optional[List[str]] = None,
     ) -> None:
         self.meta = meta
-        self.spans = spans
-        self.metrics = metrics
-        self.counters = counters
-        self.registry = registry
         self.events = events if events is not None else []
         #: loader warnings (e.g. a truncated final line from a crashed
         #: run); surfaced by ``repro report|perf|explain``
         self.warnings = warnings if warnings is not None else []
+        self._recorded = (spans, registry)
+        fold = EventFold()
+        for record in self.events:
+            fold(Event.from_dict(record))
+        fold.finish()
+        next_id = max((span["id"] for span in spans), default=0) + 1
+        self.spans = spans + [
+            {"id": next_id + index, **span}
+            for index, span in enumerate(fold.spans)
+        ]
+        self.registry = sorted(
+            registry + fold.registry.snapshot(), key=_entry_key
+        )
+        self.metrics = fold.metrics
+        self.counters = fold.counters
 
     # -- aggregate views ----------------------------------------------
 
@@ -328,6 +330,12 @@ class RunReport:
             out[entry["labels"].get("kind", "task")] = stats
         return out
 
+    def events_by_kind(self) -> Dict[str, int]:
+        """``{kind: count}`` over the recorded events, sorted by kind."""
+        return dict(sorted(Counter(
+            event.get("kind", "?") for event in self.events
+        ).items()))
+
     def summary(self) -> dict:
         """A structured (JSON-ready) digest for tooling.
 
@@ -347,15 +355,11 @@ class RunReport:
             "hdfs.bytes.net"
         )
         requested = self.counter_total("hdfs.bytes.requested")
-        events_by_kind: Dict[str, int] = {}
-        for event in self.events:
-            kind = event.get("kind", "?")
-            events_by_kind[kind] = events_by_kind.get(kind, 0) + 1
         return {
             "meta": dict(self.meta),
             "events": {
                 "count": len(self.events),
-                "by_kind": dict(sorted(events_by_kind.items())),
+                "by_kind": self.events_by_kind(),
             },
             "warnings": list(self.warnings),
             "spans": {
@@ -366,7 +370,7 @@ class RunReport:
                 },
             },
             "metrics": {
-                field: self.metrics_total(field) for field in _METRICS_FIELDS
+                field: self.metrics_total(field) for field in METRICS_FIELDS
             },
             "per_column_bytes": dict(sorted(self.per_column_bytes().items())),
             "readahead": {
@@ -385,24 +389,24 @@ class RunReport:
 
     # -- serialization -------------------------------------------------
 
-    def iter_jsonl(self):
-        """Yield the artifact's lines (no trailing newlines), in order."""
-        yield json.dumps({"type": "meta", **self.meta}, sort_keys=True)
-        for span in self.spans:
-            yield json.dumps({"type": "span", **span}, sort_keys=True)
+    def records(self):
+        """Yield the artifact's JSONL records, in order."""
+        spans, registry = self._recorded
+        yield {"type": "meta", **self.meta}
+        for span in spans:
+            yield {"type": "span", **span}
         for event in self.events:
-            yield json.dumps({"type": "event", **event}, sort_keys=True)
-        for entry in self.registry:
-            yield json.dumps({"type": entry["kind"], **{
+            yield {"type": "event", **event}
+        for entry in registry:
+            yield {"type": entry["kind"], **{
                 k: v for k, v in entry.items() if k != "kind"
-            }}, sort_keys=True)
-        for snap in self.metrics:
-            yield json.dumps({"type": "metrics", **snap}, sort_keys=True)
-        for dump in self.counters:
-            yield json.dumps({"type": "counters", **dump}, sort_keys=True)
+            }}
 
     def to_jsonl(self) -> str:
-        return "\n".join(self.iter_jsonl()) + "\n"
+        return "".join(
+            json.dumps(record, sort_keys=True) + "\n"
+            for record in self.records()
+        )
 
     def write_jsonl(self, path: str, gzipped: Optional[bool] = None) -> None:
         """Write the artifact, one flushed line per record.
@@ -411,71 +415,13 @@ class RunReport:
         line in flight — readers tolerate that torn tail.  ``gzipped``
         forces gzip framing; by default a ``.gz`` suffix decides.
         """
-        if gzipped is None:
-            gzipped = path.endswith(".gz")
-        opener = _gzip.open if gzipped else open
-        with opener(path, "wt", encoding="utf-8") as handle:
-            for line in self.iter_jsonl():
-                handle.write(line + "\n")
-                handle.flush()
+        with JsonlWriter(path, gzipped=gzipped) as out:
+            for record in self.records():
+                out.write(record)
 
     @classmethod
     def from_jsonl(cls, text: str) -> "RunReport":
-        meta: dict = {}
-        spans: List[dict] = []
-        metrics: List[dict] = []
-        counters: List[dict] = []
-        registry: List[dict] = []
-        events: List[dict] = []
-        warnings: List[str] = []
-        lines = text.splitlines()
-        last_payload = next(
-            (i for i in range(len(lines) - 1, -1, -1) if lines[i].strip()),
-            None,
-        )
-        parsed = 0
-        for lineno, line in enumerate(lines, 1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                record = json.loads(line)
-            except ValueError as exc:
-                if parsed and lineno - 1 == last_payload:
-                    # A crashed run tore its final line mid-write; the
-                    # prefix is still a valid recording.
-                    warnings.append(
-                        f"truncated final line (line {lineno}) dropped: {exc}"
-                    )
-                    break
-                raise ValueError(
-                    f"line {lineno} is not a flight-recorder record: {exc}"
-                ) from exc
-            try:
-                kind = record.pop("type")
-            except (KeyError, TypeError, AttributeError) as exc:
-                raise ValueError(
-                    f"line {lineno} is not a flight-recorder record: {exc}"
-                ) from exc
-            parsed += 1
-            if kind == "meta":
-                meta = record
-            elif kind == "span":
-                spans.append(record)
-            elif kind == "event":
-                events.append(record)
-            elif kind in ("counter", "gauge", "histogram"):
-                registry.append({"kind": kind, **record})
-            elif kind == "metrics":
-                metrics.append(record)
-            elif kind == "counters":
-                counters.append(record)
-            else:
-                raise ValueError(f"line {lineno}: unknown record type {kind!r}")
-        return cls(
-            meta, spans, metrics, counters, registry,
-            events=events, warnings=warnings,
-        )
+        return cls._from_records(*parse_jsonl(text, "flight-recorder"))
 
     @classmethod
     def load(cls, path: str) -> "RunReport":
@@ -483,14 +429,42 @@ class RunReport:
 
         Detection is by content (the two gzip magic bytes), not by file
         name, so ``run.jsonl.gz`` and a gzipped ``run.jsonl`` both load.
+        A torn final line and a torn gzip stream are salvaged with a
+        warning; other damage raises
+        :class:`~repro.util.jsonl.LogFormatError`.
         """
-        with open(path, "rb") as handle:
-            head = handle.read(2)
-        if head == b"\x1f\x8b":
-            with _gzip.open(path, "rt", encoding="utf-8") as handle:
-                return cls.from_jsonl(handle.read())
-        with open(path, encoding="utf-8") as handle:
-            return cls.from_jsonl(handle.read())
+        return cls._from_records(*read_jsonl(path, "flight-recorder"))
+
+    @classmethod
+    def _from_records(cls, records: List[dict], warnings: List[str]):
+        meta: dict = {}
+        spans: List[dict] = []
+        registry: List[dict] = []
+        events: List[dict] = []
+        if not records:
+            raise LogFormatError("empty flight recording (no records)")
+        if records[0]["type"] != "meta":
+            warnings.append("no meta header: loaded as a bare event stream")
+        for lineno, record in enumerate(records, 1):
+            kind = record.pop("type")
+            if kind == "meta" and lineno == 1:
+                meta = record
+            elif kind == "span":
+                spans.append(record)
+            elif kind == "event":
+                events.append(record)
+            elif kind in ("counter", "gauge", "histogram"):
+                registry.append({"kind": kind, **record})
+            else:
+                raise LogFormatError(
+                    f"record {lineno}: unknown record type {kind!r}"
+                )
+        try:
+            return cls(meta, spans, registry, events=events, warnings=warnings)
+        except (KeyError, TypeError, ValueError, AttributeError) as exc:
+            raise LogFormatError(
+                f"malformed flight-recorder record: {exc!r}"
+            ) from exc
 
     # -- rendering -----------------------------------------------------
 
@@ -520,14 +494,14 @@ class RunReport:
             )
         for warning in self.warnings:
             sections.append(pal.yellow(f"WARNING: {warning}"))
+        counters = ["Job counters"]
+        for dump in self.counters:
+            counters.append(f"  {dump['label']}:")
+            for name, value in sorted(dump["values"].items()):
+                counters.append(f"    {name} = {value:,}")
         if quiet:
             if self.counters:
-                lines = ["Job counters"]
-                for dump in self.counters:
-                    lines.append(f"  {dump['label']}:")
-                    for name, value in sorted(dump["values"].items()):
-                        lines.append(f"    {name} = {value:,}")
-                sections.append("\n".join(lines))
+                sections.append("\n".join(counters))
             if not sections:
                 sections.append("(empty flight recording)")
             return "\n\n".join(sections)
@@ -596,18 +570,10 @@ class RunReport:
             sections.append("\n".join(lines))
 
         if self.counters:
-            lines = ["Job counters"]
-            for dump in self.counters:
-                lines.append(f"  {dump['label']}:")
-                for name, value in sorted(dump["values"].items()):
-                    lines.append(f"    {name} = {value:,}")
-            sections.append("\n".join(lines))
+            sections.append("\n".join(counters))
 
         if self.events:
-            by_kind: Dict[str, int] = {}
-            for event in self.events:
-                kind = event.get("kind", "?")
-                by_kind[kind] = by_kind.get(kind, 0) + 1
+            by_kind = self.events_by_kind()
             lines = [f"Events ({len(self.events)} total)"]
             for kind in sorted(by_kind):
                 lines.append(f"  {kind} = {by_kind[kind]:,}")

@@ -11,8 +11,10 @@ stream-op — via context managers.  Every span records *two* time axes:
   ``io_time``/``cpu_time`` deltas accrued inside it.
 
 Tasks replayed by the event-driven scheduler do not nest inside a
-``with`` block in wall time; :meth:`Tracer.record_span` registers those
-with explicit simulated start/duration instead.
+``with`` block in wall time.  The scheduler publishes them as events
+and :mod:`repro.obs.fold` derives their simulated-clock spans;
+:meth:`Tracer.record_span` registers such a span by hand, with explicit
+simulated start/duration.
 
 The :class:`NullTracer` makes tracing zero-overhead when observability
 is off: ``span()`` returns a shared no-op context manager.
@@ -160,8 +162,8 @@ class Tracer:
     ) -> Span:
         """Register a span whose interval exists only on the simulated
 
-        clock (e.g. a scheduler-replayed map task): no wall-time extent,
-        explicit ``sim_start``/``sim_duration``.
+        clock: no wall-time extent, explicit ``sim_start``/
+        ``sim_duration``.
         """
         span = Span(
             self, self._next_id, self._parent(), name, kind, dict(attrs)

@@ -23,25 +23,20 @@ Design rules, inherited from the rest of the simulator:
   latency quantiles against :class:`~repro.cluster.report.ClusterReport`
   with **zero tolerance**, in the style of
   :func:`repro.obs.heatmap.reconcile`.
-- **Step-down downsampling + retention.**  With ``retention=N`` fine
-  buckets older than N steps are folded into coarse buckets of width
-  ``downsample * step`` (counters sum, gauges keep the newest value,
-  histograms merge their samples); ``coarse_retention`` bounds the
-  coarse level the same way.  The defaults (0 = unbounded) keep
-  everything, which a reconciling cluster run wants.
+- **Every bucket is kept.**  A reconciling cluster run needs the whole
+  timeline, so there is no retention horizon or downsampling.
 - **Merge-accumulating sidecar.**  ``save(path)`` folds any existing
   sidecar in first (like :meth:`DatasetHeatmap.save`), so successive
-  runs accumulate; the file is gzip-framed JSONL written with
-  ``mtime=0`` (byte-stable) and the loader tolerates a torn final line
-  and even a torn gzip stream, like :meth:`ClusterWAL.load`.
+  runs accumulate; the file is byte-stable gzip-framed JSONL and the
+  loader drops a torn final line and salvages a torn gzip stream, like
+  every log read through :mod:`repro.util.jsonl`.
 """
 
 from __future__ import annotations
 
-import gzip as _gzip
-import json
-import zlib
 from typing import Dict, List, Optional, Tuple
+
+from repro.util.jsonl import JsonlWriter, LogFormatError, read_jsonl
 
 #: bump when the sidecar schema changes incompatibly
 TSDB_VERSION = 1
@@ -54,9 +49,9 @@ def _label_key(labels: Dict[str, object]) -> Tuple[Tuple[str, str], ...]:
 
 
 class Series:
-    """One named, labeled series: fine and coarse fixed-width buckets."""
+    """One named, labeled series of fixed-width buckets."""
 
-    __slots__ = ("name", "kind", "labels", "fine", "coarse", "last_t")
+    __slots__ = ("name", "kind", "labels", "fine", "last_t")
 
     def __init__(self, name: str, kind: str, labels: Dict[str, object]):
         if kind not in SERIES_KINDS:
@@ -64,10 +59,8 @@ class Series:
         self.name = name
         self.kind = kind
         self.labels = {str(k): str(v) for k, v in labels.items()}
-        #: fine bucket -> sum (counter) | last value (gauge) | samples
+        #: bucket -> sum (counter) | last value (gauge) | samples
         self.fine: Dict[int, object] = {}
-        #: coarse bucket -> same shape, folded by retention
-        self.coarse: Dict[int, object] = {}
         #: simulated time of the newest sample ever folded
         self.last_t: Optional[float] = None
 
@@ -81,32 +74,17 @@ class Series:
         else:
             self.fine.setdefault(bucket, []).append(float(value))
 
-    def fold_coarse(self, bucket: int, value) -> None:
-        """Fold one aged-out fine bucket into its coarse bucket."""
-        if self.kind == "counter":
-            self.coarse[bucket] = self.coarse.get(bucket, 0.0) + value
-        elif self.kind == "gauge":
-            self.coarse[bucket] = value  # callers fold oldest-first
-        else:
-            self.coarse.setdefault(bucket, []).extend(value)
-            self.coarse[bucket].sort()
-
     def to_dict(self) -> dict:
-        def dump(buckets: Dict[int, object]) -> list:
-            return [
-                [b, sorted(v) if isinstance(v, list) else v]
-                for b, v in sorted(buckets.items())
-            ]
-
         out = {
             "type": "series",
             "name": self.name,
             "kind": self.kind,
             "labels": self.labels,
-            "fine": dump(self.fine),
+            "fine": [
+                [b, sorted(v) if isinstance(v, list) else v]
+                for b, v in sorted(self.fine.items())
+            ],
         }
-        if self.coarse:
-            out["coarse"] = dump(self.coarse)
         if self.last_t is not None:
             out["last_t"] = self.last_t
         return out
@@ -120,10 +98,6 @@ class Series:
             series.fine[int(bucket)] = (
                 list(value) if isinstance(value, list) else float(value)
             )
-        for bucket, value in record.get("coarse", []):
-            series.coarse[int(bucket)] = (
-                list(value) if isinstance(value, list) else float(value)
-            )
         series.last_t = record.get("last_t")
         return series
 
@@ -131,24 +105,10 @@ class Series:
 class TimeSeriesStore:
     """Fixed-interval series folded from bus events on the sim clock."""
 
-    def __init__(
-        self,
-        step: float = 0.05,
-        retention: int = 0,
-        downsample: int = 8,
-        coarse_retention: int = 0,
-        meta: Optional[dict] = None,
-    ) -> None:
+    def __init__(self, step: float = 0.05, meta: Optional[dict] = None):
         if step <= 0:
             raise ValueError("step must be > 0")
-        if retention < 0 or coarse_retention < 0:
-            raise ValueError("retention must be >= 0 (0 = unbounded)")
-        if downsample < 1:
-            raise ValueError("downsample must be >= 1")
         self.step = float(step)
-        self.retention = int(retention)
-        self.downsample = int(downsample)
-        self.coarse_retention = int(coarse_retention)
         #: free-form header fields persisted in the sidecar meta line
         #: (the cluster monitor stores SLO declarations + rules here)
         self.meta: dict = dict(meta or {})
@@ -172,9 +132,8 @@ class TimeSeriesStore:
         # the bucket they open instead of one float ulp below it.
         return int((t + 1e-12) // self.step)
 
-    def bucket_start(self, bucket: int, coarse: bool = False) -> float:
-        width = self.step * (self.downsample if coarse else 1)
-        return bucket * width
+    def bucket_start(self, bucket: int) -> float:
+        return bucket * self.step
 
     def series(self, name: str, kind: str, /, **labels) -> Series:
         key = (name, _label_key(labels))
@@ -200,7 +159,6 @@ class TimeSeriesStore:
     def _advance(self, t: float) -> None:
         if t > self.watermark:
             self.watermark = t
-            self._enforce_retention()
 
     def record_counter(
         self, name: str, t: float, value: float = 1.0, /, **labels
@@ -225,25 +183,6 @@ class TimeSeriesStore:
             self.bucket_of(t), value, t
         )
         self._advance(t)
-
-    def _enforce_retention(self) -> None:
-        if not self.retention:
-            return
-        cutoff = self.bucket_of(self.watermark) - self.retention
-        for series in self._series.values():
-            stale = sorted(b for b in series.fine if b < cutoff)
-            for bucket in stale:
-                series.fold_coarse(
-                    bucket // self.downsample, series.fine.pop(bucket)
-                )
-            if self.coarse_retention:
-                coarse_cutoff = (
-                    cutoff // self.downsample - self.coarse_retention
-                )
-                for bucket in [
-                    b for b in series.coarse if b < coarse_cutoff
-                ]:
-                    del series.coarse[bucket]
 
     # -- the cluster event vocabulary ----------------------------------
 
@@ -355,16 +294,9 @@ class TimeSeriesStore:
 
     # -- queries -------------------------------------------------------
 
-    def _bucket_range(
-        self, since: Optional[float], until: Optional[float], coarse: bool
-    ) -> Tuple[Optional[int], Optional[int]]:
-        width = self.downsample if coarse else 1
-        lo = None if since is None else self.bucket_of(since) // width
-        hi = None if until is None else self.bucket_of(until) // width
-        return lo, hi
-
-    def _selected(self, buckets, since, until, coarse):
-        lo, hi = self._bucket_range(since, until, coarse)
+    def _selected(self, buckets, since, until):
+        lo = None if since is None else self.bucket_of(since)
+        hi = None if until is None else self.bucket_of(until)
         for bucket in sorted(buckets):
             if lo is not None and bucket < lo:
                 continue
@@ -382,13 +314,7 @@ class TimeSeriesStore:
         series = self.get(name, **labels)
         if series is None:
             return 0.0
-        total = sum(
-            v for _, v in self._selected(series.fine, since, until, False)
-        )
-        total += sum(
-            v for _, v in self._selected(series.coarse, since, until, True)
-        )
-        return total
+        return sum(v for _, v in self._selected(series.fine, since, until))
 
     def gauge_last(
         self,
@@ -400,13 +326,8 @@ class TimeSeriesStore:
         series = self.get(name, **labels)
         if series is None:
             return None
-        fine = list(self._selected(series.fine, since, until, False))
-        if fine:
-            return fine[-1][1]
-        coarse = list(self._selected(series.coarse, since, until, True))
-        if coarse:
-            return coarse[-1][1]
-        return None
+        fine = list(self._selected(series.fine, since, until))
+        return fine[-1][1] if fine else None
 
     def samples(
         self,
@@ -419,9 +340,7 @@ class TimeSeriesStore:
         if series is None:
             return []
         out: List[float] = []
-        for _, values in self._selected(series.coarse, since, until, True):
-            out.extend(values)
-        for _, values in self._selected(series.fine, since, until, False):
+        for _, values in self._selected(series.fine, since, until):
             out.extend(values)
         return sorted(out)
 
@@ -432,7 +351,7 @@ class TimeSeriesStore:
         until: Optional[float] = None,
         **labels,
     ) -> List[Tuple[float, float]]:
-        """Per-bucket ``(start_time, value)`` pairs, coarse then fine.
+        """Per-bucket ``(start_time, value)`` pairs.
 
         Counters yield per-interval sums, gauges the interval's last
         value, histograms the interval's sample count.
@@ -440,18 +359,13 @@ class TimeSeriesStore:
         series = self.get(name, **labels)
         if series is None:
             return []
-        out: List[Tuple[float, float]] = []
-        for bucket, value in self._selected(series.coarse, since, until, True):
-            out.append((
-                self.bucket_start(bucket, coarse=True),
-                float(len(value)) if isinstance(value, list) else value,
-            ))
-        for bucket, value in self._selected(series.fine, since, until, False):
-            out.append((
+        return [
+            (
                 self.bucket_start(bucket),
                 float(len(value)) if isinstance(value, list) else value,
-            ))
-        return out
+            )
+            for bucket, value in self._selected(series.fine, since, until)
+        ]
 
     # -- merging -------------------------------------------------------
 
@@ -463,17 +377,15 @@ class TimeSeriesStore:
             )
         for series in other:
             mine = self.series(series.name, series.kind, **series.labels)
-            for buckets, theirs in (
-                (mine.fine, series.fine), (mine.coarse, series.coarse)
-            ):
-                for bucket, value in sorted(theirs.items()):
-                    if series.kind == "counter":
-                        buckets[bucket] = buckets.get(bucket, 0.0) + value
-                    elif series.kind == "gauge":
-                        buckets[bucket] = value
-                    else:
-                        merged = list(buckets.get(bucket, [])) + list(value)
-                        buckets[bucket] = sorted(merged)
+            buckets = mine.fine
+            for bucket, value in sorted(series.fine.items()):
+                if series.kind == "counter":
+                    buckets[bucket] = buckets.get(bucket, 0.0) + value
+                elif series.kind == "gauge":
+                    buckets[bucket] = value
+                else:
+                    merged = list(buckets.get(bucket, [])) + list(value)
+                    buckets[bucket] = sorted(merged)
             if series.last_t is not None and (
                 mine.last_t is None or series.last_t > mine.last_t
             ):
@@ -495,9 +407,6 @@ class TimeSeriesStore:
             "format": "tsdb",
             "v": TSDB_VERSION,
             "step": self.step,
-            "retention": self.retention,
-            "downsample": self.downsample,
-            "coarse_retention": self.coarse_retention,
             "runs": self.runs,
             "watermark": self.watermark,
             **self.meta,
@@ -530,107 +439,61 @@ class TimeSeriesStore:
             if previous is not None:
                 previous.merge(self)
                 target = previous
-        text = "".join(
-            json.dumps(line, sort_keys=True) + "\n"
-            for line in target.to_lines()
-        )
-        blob = _gzip.compress(text.encode("utf-8"), 9, mtime=0)
-        with open(path, "wb") as handle:
-            handle.write(blob)
+        lines = target.to_lines()
+        with JsonlWriter(path, gzipped=True, flush_every=len(lines)) as out:
+            for line in lines:
+                out.write(line)
         return target
 
     @classmethod
     def load(cls, path: str) -> Tuple["TimeSeriesStore", List[str]]:
         """Read a sidecar; returns ``(store, warnings)``.
 
-        Gzip framing is sniffed by magic bytes.  A torn gzip stream is
-        salvaged to its readable prefix and a torn final line is
-        dropped — both with warnings — exactly like the WAL loader; any
-        earlier malformed line is a hard error.
+        Reads through :func:`repro.util.jsonl.read_jsonl`: a torn gzip
+        stream is salvaged to its readable prefix and a torn final line
+        is dropped, both with warnings; any earlier malformed line is a
+        hard error.  Headers written before the store dropped its
+        retention level still carry ``retention``, ``downsample`` and
+        ``coarse_retention``; those keys are ignored.
         """
-        with open(path, "rb") as handle:
-            blob = handle.read()
-        warnings: List[str] = []
-        if blob[:2] == b"\x1f\x8b":
-            try:
-                text = _gzip.decompress(blob).decode("utf-8")
-            except (EOFError, OSError, zlib.error) as exc:
-                decompressor = zlib.decompressobj(31)
-                try:
-                    salvaged = decompressor.decompress(blob)
-                except zlib.error:
-                    raise ValueError(
-                        f"{path}: unreadable gzip stream: {exc}"
-                    ) from exc
-                text = salvaged.decode("utf-8", errors="replace")
-                warnings.append(
-                    f"torn gzip stream salvaged to {len(salvaged)} byte(s)"
-                )
-        else:
-            text = blob.decode("utf-8")
-        lines = text.splitlines()
-        last_payload = next(
-            (i for i in range(len(lines) - 1, -1, -1) if lines[i].strip()),
-            None,
-        )
-        records: List[dict] = []
-        for lineno, line in enumerate(lines, 1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                record = json.loads(line)
-            except ValueError as exc:
-                if records and lineno - 1 == last_payload:
-                    warnings.append(
-                        f"torn final record (line {lineno}) dropped: {exc}"
-                    )
-                    break
-                raise ValueError(
-                    f"line {lineno} is not a tsdb record: {exc}"
-                ) from exc
-            if not isinstance(record, dict) or "type" not in record:
-                raise ValueError(f"line {lineno} is not a tsdb record")
-            records.append(record)
+        records, warnings = read_jsonl(path, "tsdb")
         if not records or records[0].get("type") != "meta":
-            raise ValueError(f"{path}: missing tsdb meta header")
+            raise LogFormatError(f"{path}: missing tsdb meta header")
         header = records[0]
         if header.get("format") != "tsdb":
-            raise ValueError(f"{path}: not a tsdb sidecar")
+            raise LogFormatError(f"{path}: not a tsdb sidecar")
         if header.get("v") != TSDB_VERSION:
-            raise ValueError(
+            raise LogFormatError(
                 f"{path}: tsdb version {header.get('v')!r} "
                 f"(this build reads {TSDB_VERSION})"
             )
-        store = cls(
-            step=float(header.get("step", 0.05)),
-            retention=int(header.get("retention", 0)),
-            downsample=int(header.get("downsample", 8)),
-            coarse_retention=int(header.get("coarse_retention", 0)),
-            meta={
-                k: v for k, v in header.items()
-                if k not in (
-                    "type", "format", "v", "step", "retention",
-                    "downsample", "coarse_retention", "runs", "watermark",
-                )
-            },
-        )
-        store.runs = int(header.get("runs", 1))
-        store.watermark = float(header.get("watermark", 0.0))
-        for record in records[1:]:
-            if record["type"] == "series":
-                series = Series.from_dict(record)
-                store._series[(series.name, _label_key(series.labels))] = (
-                    series
-                )
-            elif record["type"] == "alert":
-                store.alerts.append(
-                    {k: v for k, v in record.items() if k != "type"}
-                )
-            elif record["type"] == "slo":
-                store.statuses.append(
-                    {k: v for k, v in record.items() if k != "type"}
-                )
+        try:
+            store = cls(
+                step=float(header.get("step", 0.05)),
+                meta={
+                    k: v for k, v in header.items()
+                    if k not in (
+                        "type", "format", "v", "step", "retention",
+                        "downsample", "coarse_retention", "runs",
+                        "watermark",
+                    )
+                },
+            )
+            store.runs = int(header.get("runs", 1))
+            store.watermark = float(header.get("watermark", 0.0))
+            for record in records[1:]:
+                body = {k: v for k, v in record.items() if k != "type"}
+                if record["type"] == "series":
+                    series = Series.from_dict(record)
+                    store._series[
+                        (series.name, _label_key(series.labels))
+                    ] = series
+                elif record["type"] == "alert":
+                    store.alerts.append(body)
+                elif record["type"] == "slo":
+                    store.statuses.append(body)
+        except (KeyError, TypeError, ValueError) as exc:
+            raise LogFormatError(f"{path}: malformed tsdb record: {exc!r}")
         store.warnings = list(warnings)
         return store, warnings
 

@@ -55,10 +55,18 @@ def span(
     return record
 
 
-def report_of(spans, registry=(), metrics=(), counters=()):
+def report_of(spans, registry=(), metrics=()):
+    """A report of hand-built spans and registry entries; each metrics
+    snapshot arrives the way a scan publishes one, as an event."""
+    events = [
+        {"seq": seq, "kind": "scan.finish", "wall": 0.0, "attrs": {
+            "label": snap["label"],
+            "metrics": {k: v for k, v in snap.items() if k != "label"},
+        }}
+        for seq, snap in enumerate(metrics, 1)
+    ]
     return RunReport(
-        meta={}, spans=list(spans), metrics=list(metrics),
-        counters=list(counters), registry=list(registry),
+        meta={}, spans=list(spans), registry=list(registry), events=events,
     )
 
 

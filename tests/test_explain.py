@@ -49,8 +49,12 @@ def lazy_scan(fs, dataset, columns, touch):
         finally:
             reader.close()
         from repro.obs import current_obs
+        from repro.obs.fold import metrics_snapshot
 
-        current_obs().record_metrics(f"scan:{split.label}", ctx.metrics)
+        current_obs().emit(
+            "scan.finish", label=f"scan:{split.label}",
+            metrics=metrics_snapshot(ctx.metrics),
+        )
 
 
 def build_fs(num_nodes=6, seed=20110401):

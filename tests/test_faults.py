@@ -115,7 +115,7 @@ class TestInjector:
             "faults.injected", kind="transient_read_error"
         ) == 1
         fault_spans = [
-            s for s in recorder.tracer.spans if s.name == "fault"
+            s for s in recorder.report().spans if s["name"] == "fault"
         ]
         assert len(fault_spans) == 2
 

@@ -17,6 +17,7 @@ from repro.obs import (
     Tracer,
     current_obs,
 )
+from repro.obs.fold import metrics_snapshot
 from repro.sim.metrics import Metrics
 from tests.conftest import make_ctx, micro_records, micro_schema
 
@@ -303,11 +304,23 @@ class TestFlightRecorder:
                 recorder.registry.histogram("h", (4, 16)).observe(5)
             m = Metrics()
             m.charge_cpu(0.5)
-            recorder.record_metrics("scan:x", m)
+            recorder.emit(
+                "scan.finish", label="scan:x", metrics=metrics_snapshot(m)
+            )
             counters = Counters()
             counters.increment("map.tasks", 3)
-            recorder.record_counters("job:j", counters)
+            recorder.emit(
+                "job.finish", job="j", map_metrics=metrics_snapshot(m),
+                reduce_metrics=metrics_snapshot(Metrics()),
+                counters=counters.as_dict(), data_local_tasks=0,
+            )
         report = recorder.report()
+        assert [snap["label"] for snap in report.metrics] == [
+            "scan:x", "job:j:map", "job:j:reduce",
+        ]
+        assert report.counters == [
+            {"label": "job:j", "values": {"map.tasks": 3}}
+        ]
         text = report.to_jsonl()
         back = RunReport.from_jsonl(text)
         assert back.meta == {"run": "t1"}
@@ -506,6 +519,6 @@ class TestAccountingInvariants:
         assert reg.value_of(
             "scheduler.assignments", placement="local"
         ) == sum(1 for t in result.tasks if t.data_local)
-        kinds = [s.kind for s in recorder.tracer.spans]
+        kinds = [s["kind"] for s in recorder.report().spans]
         assert "job" in kinds and "phase" in kinds and "task" in kinds
         assert reg.value_of("mr.shuffle.bytes") > 0

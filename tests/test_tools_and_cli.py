@@ -149,7 +149,9 @@ class TestTraceCli:
         records = [json.loads(line) for line in lines]
         assert records[0]["type"] == "meta"
         types = {r["type"] for r in records}
-        assert "span" in types and "metrics" in types and "counter" in types
+        assert "span" in types and "event" in types and "counter" in types
+        # metrics snapshots travel as scan.finish events
+        assert any(r.get("kind") == "scan.finish" for r in records)
 
     def test_report_renders_trace(self, fig7_trace):
         code, text = self.collect(["report", str(fig7_trace)])
@@ -270,8 +272,10 @@ class TestPerfCli:
         lines = []
         for line in job_trace.read_text().splitlines():
             record = json.loads(line)
-            if record["type"] == "metrics":
-                record["seeks"] = record.get("seeks", 0) * 3 + 10
+            if record["type"] == "event" and record["kind"] == "job.finish":
+                # the job's map-phase Metrics snapshot rides on job.finish
+                snap = record["attrs"]["map_metrics"]
+                snap["seeks"] = snap.get("seeks", 0) * 3 + 10
             lines.append(json.dumps(record, sort_keys=True))
         worse.write_text("\n".join(lines) + "\n")
         code, text = self.collect(

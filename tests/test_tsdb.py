@@ -1,4 +1,4 @@
-"""The embedded time-series store: folding, retention, sidecar, exact
+"""The embedded time-series store: folding, sidecar, exact
 reconciliation against the cluster report, and byte-level determinism.
 
 The determinism tests are the acceptance criteria for the continuous-
@@ -20,7 +20,6 @@ from repro.obs import EventBus, MetricRegistry, NULL_TRACER, Observability
 from repro.obs.alerts import ClusterMonitor
 from repro.obs.registry import MetricRegistry as Registry
 from repro.obs.tsdb import (
-    Series,
     TimeSeriesStore,
     TSDB_VERSION,
     reconcile_tsdb,
@@ -151,39 +150,6 @@ def test_ingest_registry_snapshot():
     assert store.gauge_last("registry.rows", unit="rows") == 42.0
 
 
-# -- retention + step-down downsampling -------------------------------------
-
-
-def test_retention_folds_fine_into_coarse():
-    store = TimeSeriesStore(step=0.1, retention=4, downsample=4)
-    for i in range(12):
-        store.record_counter("c", i * 0.1, 1.0)
-    series = store.get("c")
-    fine_buckets = set(series.fine)
-    assert min(fine_buckets) >= store.bucket_of(store.watermark) - 4
-    # nothing lost: the aged-out buckets live on in the coarse level
-    assert store.counter_total("c") == 12.0
-    assert series.coarse  # something actually folded
-
-
-def test_retention_preserves_hist_samples_and_gauge_latest():
-    store = TimeSeriesStore(step=0.1, retention=2, downsample=2)
-    for i in range(8):
-        store.record_hist("h", i * 0.1, float(i))
-        store.record_gauge("g", i * 0.1, float(i))
-    assert store.samples("h") == [float(i) for i in range(8)]
-    assert store.gauge_last("g") == 7.0
-
-
-def test_coarse_retention_drops_ancient_buckets():
-    store = TimeSeriesStore(
-        step=0.1, retention=1, downsample=1, coarse_retention=2
-    )
-    for i in range(10):
-        store.record_counter("c", i * 0.1, 1.0)
-    assert store.counter_total("c") < 10.0  # old coarse buckets deleted
-
-
 # -- sidecar round-trip, merge, torn-tail tolerance --------------------------
 
 
@@ -288,14 +254,20 @@ def test_load_rejects_wrong_format_and_version(tmp_path):
         TimeSeriesStore.load(path)
 
 
-def test_series_round_trip_preserves_coarse_level():
-    series = Series("s", "hist", {"tenant": "a"})
-    series.observe(3, 0.5, 0.3)
-    series.fold_coarse(0, [0.1, 0.2])
-    rebuilt = Series.from_dict(series.to_dict())
-    assert rebuilt.fine == {3: [0.5]}
-    assert rebuilt.coarse == {0: [0.1, 0.2]}
-    assert rebuilt.last_t == 0.3
+def test_load_ignores_retired_retention_header_keys(tmp_path):
+    # Sidecars written while the store still had a retention level carry
+    # retention/downsample/coarse_retention in their header; they load.
+    path = str(tmp_path / "old.tsdb")
+    lines = _small_store().to_lines()
+    lines[0].update(retention=0, downsample=8, coarse_retention=0)
+    with open(path, "wb") as handle:
+        handle.write(gzip.compress("".join(
+            json.dumps(l, sort_keys=True) + "\n" for l in lines
+        ).encode(), 9, mtime=0))
+    loaded, warnings = TimeSeriesStore.load(path)
+    assert warnings == []
+    assert loaded.meta == {"origin": "test"}
+    assert loaded.counter_total("c", tenant="a") == 2.0
 
 
 # -- real traffic: reconciliation + determinism ------------------------------
